@@ -4,8 +4,9 @@
 //   1. save latency   — one Network::save_checkpoint into memory and the
 //                       framed atomic file write;
 //   2. restore latency — file -> validated payload -> restored Network;
-//   3. steady-state overhead — wall-clock cost of checkpointing every
-//                       N epochs relative to the same run without it.
+//   3. steady-state overhead — wall-clock time spent saving checkpoints
+//                       every N epochs, relative to the same run without
+//                       them.
 //
 // Acceptance: at the sweep default (every 10 epochs) the overhead must stay
 // under 5%. The bench prints PASS/FAIL and exits nonzero on FAIL, so it
@@ -32,20 +33,38 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// One full run under `control`; returns best-observed wall seconds.
-double timed_run(const SimSetup& setup, const Trace& trace,
-                 const RunControl& control, int reps) {
-  double best = 1e100;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto policy =
-        make_policy(PolicyKind::kPowerGate,
-                   setup.make_topology().num_routers(), std::nullopt);
-    PowerModel power;
-    const auto start = std::chrono::steady_clock::now();
-    run_simulation_controlled(setup, *policy, trace, power, control);
-    best = std::min(best, seconds_since(start));
-  }
-  return best;
+/// One PG run of `trace` that saves a checkpoint to `path` every
+/// `interval` epochs (0 = never), the RunControl::checkpoint_interval_epochs
+/// rule.
+struct CheckpointedRun {
+  double run_s = 0.0;       ///< Wall seconds of the whole run.
+  double save_s = 0.0;      ///< Wall seconds spent inside the saves.
+  std::uint64_t saves = 0;  ///< Checkpoints written.
+};
+
+CheckpointedRun checkpointed_run(const SimSetup& setup, const Trace& trace,
+                                 std::uint64_t interval,
+                                 const std::string& path) {
+  const Topology topo = setup.make_topology();
+  auto policy =
+      make_policy(PolicyKind::kPowerGate, topo.num_routers(), std::nullopt);
+  PowerModel power;
+  SimoLdoRegulator regulator;
+  Network net(topo, setup.noc, *policy, power, regulator);
+  CheckpointedRun run;
+  net.set_epoch_hook([&](Network& n, Tick, std::uint64_t epochs) {
+    if (interval > 0 && epochs % interval == 0) {
+      const auto start = std::chrono::steady_clock::now();
+      save_checkpoint_file(n, path);
+      run.save_s += seconds_since(start);
+      ++run.saves;
+    }
+    return true;
+  });
+  const auto start = std::chrono::steady_clock::now();
+  net.run_until_drained(trace, setup.max_drain_tick());
+  run.run_s = seconds_since(start);
+  return run;
 }
 
 }  // namespace
@@ -91,35 +110,40 @@ int main() {
   }
 
   // --- 3: steady-state overhead of periodic checkpointing ---
+  // The overhead is the time spent inside the saves over the best run
+  // without checkpoints. Comparing whole runs timed in separate blocks
+  // instead reads any change in host speed between the blocks as
+  // overhead: on a shared host that has exceeded 5% for an interval that
+  // writes no checkpoint at all.
   const int reps = 3;
-  RunControl off;
-  const double base_s = timed_run(setup, trace, off, reps);
+  double base_s = 1e100;
+  for (int rep = 0; rep < reps; ++rep)
+    base_s = std::min(base_s,
+                      checkpointed_run(setup, trace, 0, ckpt_path).run_s);
 
-  std::printf("\n%-28s %10s %10s %9s\n", "configuration", "wall (ms)",
-              "ckpts", "overhead");
-  std::printf("%-28s %10.1f %10d %9s\n", "no checkpointing", base_s * 1e3, 0,
-              "--");
+  std::printf("\n%-28s %10s %10s %10s %9s\n", "configuration", "wall (ms)",
+              "ckpts", "saves (ms)", "overhead");
+  std::printf("%-28s %10.1f %10d %10s %9s\n", "no checkpointing",
+              base_s * 1e3, 0, "--", "--");
 
   double overhead_at_10 = 0.0;
   for (const std::uint64_t interval : {50u, 10u, 1u}) {
-    RunControl on;
-    on.checkpoint_interval_epochs = interval;
-    on.checkpoint_path = ckpt_path;
-    // Count checkpoints once (deterministic), then time.
-    auto policy =
-        make_policy(PolicyKind::kPowerGate,
-                   setup.make_topology().num_routers(), std::nullopt);
-    PowerModel power;
-    const RunOutcome probe =
-        run_simulation_controlled(setup, *policy, trace, power, on);
-    const double with_s = timed_run(setup, trace, on, reps);
-    const double overhead = with_s / base_s - 1.0;
+    // Best of `reps` by save time: one save takes a few milliseconds, so a
+    // single descheduling would otherwise dominate it.
+    CheckpointedRun best;
+    best.save_s = 1e100;
+    for (int rep = 0; rep < reps; ++rep) {
+      const CheckpointedRun run =
+          checkpointed_run(setup, trace, interval, ckpt_path);
+      if (run.save_s < best.save_s) best = run;
+    }
+    const double overhead = best.save_s / base_s;
     if (interval == 10) overhead_at_10 = overhead;
     const std::string label =
         "every " + std::to_string(interval) + " epochs";
-    std::printf("%-28s %10.1f %10llu %8.2f%%\n", label.c_str(), with_s * 1e3,
-                static_cast<unsigned long long>(probe.checkpoints_written),
-                overhead * 100.0);
+    std::printf("%-28s %10.1f %10llu %10.2f %8.2f%%\n", label.c_str(),
+                best.run_s * 1e3, static_cast<unsigned long long>(best.saves),
+                best.save_s * 1e3, overhead * 100.0);
   }
   std::remove(ckpt_path.c_str());
 

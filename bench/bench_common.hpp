@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/sim/model_store.hpp"
+#include "src/sim/registries.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
 #include "src/sim/training.hpp"
@@ -21,7 +22,8 @@ namespace dozz::bench {
 /// cycles, T-Idle = 4.
 inline SimSetup paper_mesh_setup() {
   SimSetup setup;
-  setup.cmesh = false;
+  setup.topology = "mesh";
+  configure_topology(setup.topology, "", &setup.noc);
   setup.noc.epoch_cycles = 500;
   setup.noc.t_idle_cycles = 4;
   setup.duration_cycles = scaled_cycles(16000);
@@ -32,7 +34,8 @@ inline SimSetup paper_mesh_setup() {
 /// The concentrated-mesh configuration: 4x4 cmesh, 4 cores per router.
 inline SimSetup paper_cmesh_setup() {
   SimSetup setup = paper_mesh_setup();
-  setup.cmesh = true;
+  setup.topology = "cmesh";
+  configure_topology(setup.topology, "", &setup.noc);
   return setup;
 }
 

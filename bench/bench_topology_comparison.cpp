@@ -8,6 +8,7 @@
 #include "bench/bench_common.hpp"
 #include "src/common/table.hpp"
 #include "src/sim/batch.hpp"
+#include "src/sim/registries.hpp"
 #include "src/trafficgen/benchmarks.hpp"
 
 int main() {
@@ -19,13 +20,12 @@ int main() {
 
   struct Config {
     const char* label;
-    bool cmesh;
-    bool torus;
+    const char* topology;  ///< Topology-registry name.
   };
   const Config configs[] = {
-      {"mesh 8x8", false, false},
-      {"cmesh 4x4", true, false},
-      {"torus 8x8", false, true},
+      {"mesh 8x8", "mesh"},
+      {"cmesh 4x4", "cmesh"},
+      {"torus 8x8", "torus"},
   };
 
   TextTable table({"topology", "hops (base)", "latency (base, ns)",
@@ -33,9 +33,9 @@ int main() {
                    "off time"});
   for (const Config& c : configs) {
     SimSetup setup = bench::paper_mesh_setup();
-    setup.cmesh = c.cmesh;
-    setup.torus = c.torus;
-    if (c.torus) setup.noc.vc_classes = 2;
+    setup.topology = c.topology;
+    // The torus gets its dateline VC classes and torus-xy routing here.
+    configure_topology(setup.topology, "", &setup.noc);
     const TrainingOptions opts = bench::paper_training_options(setup);
     const WeightVector weights =
         load_or_train(PolicyKind::kDozzNoc, setup, opts);

@@ -57,6 +57,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <optional>
 #include <string>
 
@@ -127,6 +128,21 @@ template <typename Entry>
   for (const auto& [name, entry] : reg)
     std::printf("%-12s %s\n", name.c_str(), entry.description.c_str());
   std::exit(0);
+}
+
+/// The flag a validated SimSetup key is set by, so a bad value is reported
+/// under the name the user wrote (config-file keys are the flag names
+/// without the dashes).
+std::string flag_for_key(const std::string& key) {
+  static const std::map<std::string, std::string> flags = {
+      {"compression", "--compress"},
+      {"duration_cycles", "--cycles"},
+      {"noc.epoch_cycles", "--epoch"},
+      {"noc.vcs_per_port", "--vcs"},
+      {"noc.buffer_depth_flits", "--depth"},
+  };
+  const auto it = flags.find(key);
+  return it == flags.end() ? key : it->second;
 }
 
 /// Applies a key = value experiment config file (see sim/config_file.hpp);
@@ -239,6 +255,8 @@ int main(int argc, char** argv) {
     }
     setup.noc.watchdog_epochs = opt.watchdog;
     setup.noc.shard_threads = opt.shard_threads;
+    // Reject values no run can use before any trace generation or training.
+    validate(setup, opt.compress, flag_for_key);
 
     // --- Workload ---
     Trace trace;

@@ -98,6 +98,8 @@ int main(int argc, char** argv) {
     configure_topology(topology, /*routing_flag=*/"", &setup.noc);
     setup.duration_cycles = scaled_cycles(12000);
     setup.run_to_drain = true;
+    // Reject values no run can use before any training.
+    validate(setup);
 
     TrainingOptions opts;
     opts.gather_cycles = setup.duration_cycles;

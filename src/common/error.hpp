@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -24,6 +25,20 @@ class InputError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Thrown when a configuration value is out of range (a zero-cycle epoch)
+/// or values are individually valid but mutually inconsistent (a torus
+/// topology with a non-wrap-aware routing algorithm); the message names
+/// the offending key or flag.
+class ConfigError : public InputError {
+ public:
+  using InputError::InputError;
+};
+
+/// Maps a configuration key to the name its value was given under (a CLI
+/// flag), so a ConfigError names what the user wrote. Empty = name the key
+/// itself.
+using KeyNamer = std::function<std::string(const std::string& key)>;
 
 /// Thrown when a routing step cannot make forward progress — a corrupted
 /// next-hop table or a destination the algorithm cannot reach. The message

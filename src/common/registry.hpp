@@ -19,14 +19,6 @@ class RegistryError : public InputError {
   using InputError::InputError;
 };
 
-/// Thrown when configuration values are individually valid but mutually
-/// inconsistent (e.g. a torus topology with a non-wrap-aware routing
-/// algorithm); the message names the offending flag.
-class ConfigError : public InputError {
- public:
-  using InputError::InputError;
-};
-
 /// Ordered name -> value map with typed errors. `Entry` is typically a
 /// factory callable plus metadata; the registry itself never invokes it.
 template <typename Entry>

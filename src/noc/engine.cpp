@@ -1,8 +1,8 @@
-// The engine loop: both event kernels (legacy linear scan and indexed
-// calendar/heap), event-time selection, and the run_loop driver that wires
-// resume validation, epoch scheduling and final metrics compilation around
-// them. The per-event phases they invoke live in phases.cpp and
-// epoch_phase.cpp.
+// The engine loop: both sequential event kernels (legacy linear scan and
+// the indexed kernel over one event lane), the lane plan shared with the
+// sharded engine, and the run_loop driver that wires resume validation,
+// epoch scheduling and final metrics compilation around them. The
+// per-event phases they invoke live in phases.cpp and epoch_phase.cpp.
 #include <algorithm>
 
 #include "src/ckpt/state_io.hpp"
@@ -109,10 +109,14 @@ Tick Network::run_loop_linear(const Trace& trace, Tick end_tick, bool drain) {
     inject_matured(entries, trace_cursor_, gating, punch);
 
     // 2. Matured responses.
+    std::uint64_t matured = 0;
     for (auto& n : nics_) {
       if (n.next_response_tick() > ctx_.now) continue;
-      mature_nic(n, gating, punch);
+      matured += static_cast<std::uint64_t>(
+          mature_nic(n, ctx_.now, gating, punch));
     }
+    pending_responses_ -= matured;
+    ctx_.metrics.packets_offered += matured;
 
     // 3. Epoch boundary: feature capture and DVFS mode selection.
     bool at_epoch = false;
@@ -125,7 +129,8 @@ Tick Network::run_loop_linear(const Trace& trace, Tick end_tick, bool drain) {
     // 4. Clock edges, in router-id order for determinism.
     for (std::size_t i = 0; i < routers_.size(); ++i) {
       if (routers_[i].next_edge() > ctx_.now) continue;
-      step_router(i, gating);
+      step_router(static_cast<RouterId>(i), *this, ctx_.now, gating);
+      ++edge_steps_;
     }
 
     // Epoch hook, fired only after the boundary iteration completed its
@@ -140,43 +145,18 @@ Tick Network::run_loop_linear(const Trace& trace, Tick end_tick, bool drain) {
   return last_event_;
 }
 
+void Network::split_lanes(int shards) {
+  const int n = static_cast<int>(routers_.size());
+  lane_plan_ = make_shard_plan(n, shards);
+  lanes_.clear();
+  for (int s = 0; s < shards; ++s)
+    lanes_.emplace_back(routers_, nics_, lane_plan_.begin(s),
+                        lane_plan_.end(s));
+}
+
 void Network::schedule_edge(RouterId r) {
   const Tick edge = routers_[static_cast<std::size_t>(r)].next_edge();
-  if (edge >= kInfTick) return;
-  if (shard_rt_ != nullptr) {
-    internal::shard_schedule_edge(*shard_rt_, r, edge);
-    return;
-  }
-  edge_sched_.push(edge, r);
-}
-
-Tick Network::edge_min() {
-  while (!edge_sched_.empty()) {
-    const Tick tick = edge_sched_.front_tick();
-    // One live entry proves the bucket's tick is the minimum — stop there
-    // (the due-edge collection re-validates every entry anyway). Every
-    // reschedule pushes a fresh entry, so the live minimum is always
-    // present; a mismatched entry is a stale leftover. Only a fully stale
-    // bucket costs a full scan, and it is discarded on the spot.
-    for (const RouterId id : edge_sched_.front_bucket()) {
-      const Tick edge = routers_[static_cast<std::size_t>(id)].next_edge();
-      if (edge == tick) return tick;
-      DOZZ_ASSERT(edge > tick);
-    }
-    edge_sched_.pop_front();
-  }
-  return kInfTick;
-}
-
-Tick Network::response_min() {
-  while (!response_heap_.empty()) {
-    const auto [tick, id] = response_heap_.top();
-    const Tick live = nics_[static_cast<std::size_t>(id)].next_response_tick();
-    if (live == tick) return tick;
-    DOZZ_ASSERT(live > tick);
-    response_heap_.pop();
-  }
-  return kInfTick;
+  if (edge < kInfTick) lane_of(r).push_edge(r, edge);
 }
 
 Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
@@ -186,20 +166,9 @@ Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
   const bool gating = ctx_.policy->gating_enabled();
   const bool punch = ctx_.config.lookahead_punch;
 
-  for (std::size_t i = 0; i < routers_.size(); ++i)
-    schedule_edge(static_cast<RouterId>(i));
-
-  // Rebuild the response heap from live NIC state: the heap is derived
-  // (lazy-invalidation) and is not checkpointed. One entry at each NIC's
-  // current minimum suffices — mature_nic re-publishes after every pop and
-  // response_min() discards anything stale. A fresh run has no pending
-  // responses, so this is a no-op there.
-  for (std::size_t i = 0; i < nics_.size(); ++i) {
-    const Tick t = nics_[i].next_response_tick();
-    if (t < kInfTick) response_heap_.push({t, static_cast<RouterId>(i)});
-  }
-
-  std::vector<RouterId> due;  // sorted ids due at now
+  DOZZ_ASSERT(lanes_.size() == 1);
+  EventLane& lane = lanes_.front();
+  lane.seed();
 
   while (true) {
     // Drain check without the per-event NIC scan: packets parked in NIC
@@ -212,8 +181,8 @@ Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
     const Tick trace_next = trace_cursor_ < entries.size()
                                 ? entries[trace_cursor_].inject_tick()
                                 : kInfTick;
-    const Tick t = std::min(std::min(trace_next, next_epoch_),
-                            std::min(edge_min(), response_min()));
+    const Tick t =
+        std::min(std::min(trace_next, next_epoch_), lane.next_event());
     if (t >= end_tick) break;
     DOZZ_ASSERT(t >= ctx_.now);
     ctx_.now = t;
@@ -224,23 +193,9 @@ Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
     inject_matured(entries, trace_cursor_, gating, punch);
 
     // 2. Matured responses, in NIC-id order (matches the linear sweep).
-    if (!response_heap_.empty() && response_heap_.top().first <= ctx_.now) {
-      due.clear();
-      while (!response_heap_.empty() &&
-             response_heap_.top().first <= ctx_.now) {
-        due.push_back(response_heap_.top().second);
-        response_heap_.pop();
-      }
-      std::sort(due.begin(), due.end());
-      due.erase(std::unique(due.begin(), due.end()), due.end());
-      for (RouterId id : due) {
-        NetworkInterface& n = nics_[static_cast<std::size_t>(id)];
-        if (n.next_response_tick() > ctx_.now) continue;  // stale entry
-        mature_nic(n, gating, punch);
-        if (n.next_response_tick() < kInfTick)
-          response_heap_.push({n.next_response_tick(), id});
-      }
-    }
+    const std::uint64_t matured = mature_due(lane, ctx_.now, gating, punch);
+    pending_responses_ -= matured;
+    ctx_.metrics.packets_offered += matured;
 
     // 3. Epoch boundary: feature capture and DVFS mode selection.
     // set_active_mode can pull a slow router's edge *earlier* (new period
@@ -253,70 +208,8 @@ Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
       at_epoch = true;
     }
 
-    // 4. Clock edges due now, in router-id order for determinism. The
-    // common case is a single due bucket already in id order (the sweep
-    // pushes reschedules in ascending id), so steal its storage instead of
-    // copying and only sort when a wake push actually broke the order.
-    due.clear();
-    while (!edge_sched_.empty() && edge_sched_.front_tick() <= ctx_.now) {
-      const Tick tick = edge_sched_.front_tick();
-      auto& bucket = edge_sched_.front_bucket();
-      if (due.empty()) {
-        due.swap(bucket);
-        std::size_t live = 0;
-        for (const RouterId id : due)
-          if (routers_[static_cast<std::size_t>(id)].next_edge() == tick)
-            due[live++] = id;
-        due.resize(live);
-      } else {
-        for (const RouterId id : bucket)
-          if (routers_[static_cast<std::size_t>(id)].next_edge() == tick)
-            due.push_back(id);
-      }
-      edge_sched_.pop_front();
-    }
-    // Every due bucket is consumed, so all remaining scheduled ticks are
-    // in the future: move the wheel window up to the clock.
-    edge_sched_.advance_to(ctx_.now);
-    if (!std::is_sorted(due.begin(), due.end()))
-      std::sort(due.begin(), due.end());
-    due.erase(std::unique(due.begin(), due.end()), due.end());
-    for (std::size_t k = 0; k < due.size(); ++k) {
-      const RouterId id = due[k];
-      if (routers_[static_cast<std::size_t>(id)].next_edge() > ctx_.now)
-        continue;  // rescheduled since collection
-      step_router(static_cast<std::size_t>(id), gating);
-      schedule_edge(id);
-      // A pipeline step can wake a neighbour with a zero-length wakeup,
-      // landing a new edge at now mid-sweep. The linear sweep visits such
-      // a router this iteration only when its id is still ahead of the
-      // cursor; an id already passed waits for the next same-tick
-      // iteration. Mirror both cases exactly: ids ahead of the cursor join
-      // this sweep; the rest stay bucketed for the next same-tick
-      // iteration.
-      if (!edge_sched_.empty() && edge_sched_.front_tick() <= ctx_.now) {
-        auto& bucket = edge_sched_.front_bucket();
-        std::size_t deferred = 0;
-        for (const RouterId late_id : bucket) {
-          if (routers_[static_cast<std::size_t>(late_id)].next_edge() !=
-              ctx_.now)
-            continue;  // stale
-          if (late_id > id) {
-            const auto it = std::lower_bound(
-                due.begin() + static_cast<std::ptrdiff_t>(k) + 1, due.end(),
-                late_id);
-            if (it == due.end() || *it != late_id) due.insert(it, late_id);
-          } else {
-            bucket[deferred++] = late_id;
-          }
-        }
-        if (deferred == 0) {
-          edge_sched_.pop_front();
-        } else {
-          bucket.resize(deferred);
-        }
-      }
-    }
+    // 4. Clock edges due now, in router-id order for determinism.
+    edge_steps_ += step_due(lane, *this, ctx_.now, gating);
 
     // Epoch hook, after the boundary iteration's clock edges (see the
     // linear kernel for why this placement preserves bit-identity).

@@ -2,12 +2,15 @@
 // execution of one simulation, bit-identical to run_loop_indexed.
 //
 // The router-id space is split into contiguous shards (ShardPlan), each
-// owned by one thread. A shard runs the sequential kernel's per-event
-// phases over its own routers/NICs/trace-slice up to a conservative
-// horizon, staging every cross-shard effect (flit delivery, credit
-// return, Power Punch secure marks) in per-destination outboxes. At the
-// window barrier receivers apply the staged traffic, a serial section on
-// the coordinator picks the next window, and the round repeats.
+// owned by one thread and holding one event lane (event_lane.hpp) over
+// its routers. A shard runs the sequential kernel's own per-event phases
+// (Network::offer_entry, mature_due, step_due) over its lane and
+// trace slice up to a conservative horizon; its RouterEnvironment applies
+// effects on its own routers through the Network's callbacks and stages
+// every cross-shard effect (flit delivery, credit return, Power Punch
+// secure marks) in per-destination outboxes. At the window barrier
+// receivers apply the staged traffic, a serial section on the
+// coordinator picks the next window, and the round repeats.
 //
 // Why the windows are exact, not approximate: every cross-shard effect
 // carries an arrival tick at least one fastest-mode clock period
@@ -37,7 +40,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -45,7 +47,6 @@
 #include "src/common/error.hpp"
 #include "src/common/spin_barrier.hpp"
 #include "src/noc/network.hpp"
-#include "src/noc/network_internal.hpp"
 
 namespace dozz {
 
@@ -94,9 +95,7 @@ struct ShardRuntime {
 
   struct Shard {
     int index = 0;
-    RouterId lo = 0, hi = 0;  ///< Owned router ids: [lo, hi).
-    EventSchedule wheel;      ///< This shard's clock-edge calendar.
-    Network::EventHeap responses;  ///< Lazy (tick, nic) heap, own NICs.
+    EventLane* lane = nullptr;  ///< Owned routers and their calendars.
     /// Global indices of trace entries homed at this shard's routers
     /// (ascending, so the consumed set is always a global prefix).
     std::vector<std::uint32_t> entry_idx;
@@ -120,30 +119,29 @@ struct ShardRuntime {
     std::uint64_t d_steps = 0;
     std::vector<EjectRec> ejects;  ///< FP replay log since last merge.
     std::vector<std::vector<Op>> out;  ///< Outboxes, one per dest shard.
-    std::vector<RouterId> due;   ///< Scratch: due router ids.
-    std::vector<RouterId> due2;  ///< Scratch: due NIC ids.
     std::size_t replay_pos = 0;  ///< Serial merge scratch.
     double wait_seconds = 0.0;   ///< Time parked at barriers.
     std::exception_ptr error;
   };
 
-  /// The per-shard RouterEnvironment: own-shard effects apply directly
-  /// (same code path as the sequential engine), cross-shard effects are
-  /// staged. Gating is off for every engaged configuration, so the wake
-  /// machinery in Network::secure is dead here and remote state() reads
-  /// race nothing (state_ changes only in the serial epoch phase).
+  /// The per-shard RouterEnvironment: effects on the shard's own routers
+  /// go through the Network's own callbacks (the sequential engine's code
+  /// path), cross-shard effects are staged. Gating is off for every
+  /// engaged configuration, so the wake machinery in Network::secure is
+  /// dead here and remote state() reads race nothing (state_ changes only
+  /// in the serial epoch phase).
   class Env : public RouterEnvironment {
    public:
-    Env(ShardRuntime& rt, Shard& s) : rt_(&rt), s_(&s) {}
+    Env(ShardRuntime& rt, Shard& s)
+        : rt_(&rt), s_(&s), lo_(s.lane->lo()), hi_(s.lane->hi()) {}
 
     bool downstream_can_accept(RouterId r) const override {
-      return rt_->net_.routers_[static_cast<std::size_t>(r)].state() ==
-             RouterState::kActive;
+      return rt_->net_.downstream_can_accept(r);
     }
 
     void secure(RouterId r, Tick now) override {
       if (owns(r)) {
-        rt_->net_.routers_[static_cast<std::size_t>(r)].mark_secured(now);
+        rt_->net_.secure(r, now);
         return;
       }
       Op op;
@@ -161,9 +159,7 @@ struct ShardRuntime {
     void deliver(RouterId r, int port, int vc, Tick arrival,
                  const Flit& flit) override {
       if (owns(r)) {
-        Router& target = rt_->net_.routers_[static_cast<std::size_t>(r)];
-        target.flit_in(port).push({arrival, vc, flit});
-        target.note_inbound();
+        rt_->net_.deliver(r, port, vc, arrival, flit);
         return;
       }
       Op op;
@@ -179,9 +175,7 @@ struct ShardRuntime {
     void send_credit(RouterId upstream, int port, int vc,
                      Tick arrival) override {
       if (owns(upstream)) {
-        Router& up = rt_->net_.routers_[static_cast<std::size_t>(upstream)];
-        up.credit_in(port).push({arrival, port, vc});
-        up.note_credit();
+        rt_->net_.send_credit(upstream, port, vc, arrival);
         return;
       }
       Op op;
@@ -215,32 +209,32 @@ struct ShardRuntime {
         sink.schedule_response(s_->next_id, flit.dst_core, flit.src_core,
                                ready);
         s_->next_id += s_->id_step;
-        s_->responses.push({ready, r});
+        s_->lane->push_response(r, ready);
       }
     }
 
    private:
-    bool owns(RouterId r) const { return r >= s_->lo && r < s_->hi; }
+    bool owns(RouterId r) const { return r >= lo_ && r < hi_; }
     void stage(RouterId r, const Op& op) {
       s_->out[static_cast<std::size_t>(
-                  rt_->plan_.owner[static_cast<std::size_t>(r)])]
+                  rt_->net_.lane_plan_.owner[static_cast<std::size_t>(r)])]
           .push_back(op);
     }
 
     ShardRuntime* rt_;
     Shard* s_;
+    RouterId lo_, hi_;  ///< The shard's routers, [lo_, hi_).
   };
 
-  ShardRuntime(Network& net, const Trace& trace, int num_shards,
-               Tick end_tick, bool drain)
+  /// Runs one shard per lane of `net` (Network::split_lanes).
+  ShardRuntime(Network& net, const Trace& trace, Tick end_tick, bool drain)
       : net_(net),
         trace_(trace),
-        plan_(make_shard_plan(static_cast<int>(net.routers_.size()),
-                              num_shards)),
         end_tick_(end_tick),
         drain_(drain),
-        mid_(num_shards),
-        end_(num_shards) {
+        mid_(static_cast<int>(net.lanes_.size())),
+        end_(static_cast<int>(net.lanes_.size())) {
+    const int num_shards = static_cast<int>(net.lanes_.size());
     const auto& entries = trace.entries();
     DOZZ_REQUIRE(entries.size() <
                  static_cast<std::size_t>(~std::uint32_t{0}));
@@ -254,15 +248,11 @@ struct ShardRuntime {
     last_entry_tick_ = entries.empty() ? 0 : entries.back().inject_tick();
 
     const Topology& topo = *net.ctx_.topo;
+    shards_.resize(static_cast<std::size_t>(num_shards));
     for (int s = 0; s < num_shards; ++s) {
-      shards_.emplace_back();
-      Shard& sh = shards_.back();
+      Shard& sh = shards_[static_cast<std::size_t>(s)];
       sh.index = s;
-      sh.lo = plan_.begin(s);
-      sh.hi = plan_.end(s);
-      // Same slack argument as the sequential calendar: an epoch
-      // republish can briefly double a bucket's entries per router.
-      sh.wheel.warm(2 * static_cast<std::size_t>(sh.hi - sh.lo));
+      sh.lane = &net.lanes_[static_cast<std::size_t>(s)];
       sh.out.resize(static_cast<std::size_t>(num_shards));
       sh.id_step = static_cast<std::uint64_t>(num_shards);
       sh.next_id = net.next_packet_id_ + static_cast<std::uint64_t>(s);
@@ -271,7 +261,7 @@ struct ShardRuntime {
          gi < static_cast<std::uint32_t>(entries.size()); ++gi) {
       const RouterId home = topo.router_of_core(entries[gi].src);
       shards_[static_cast<std::size_t>(
-                  plan_.owner[static_cast<std::size_t>(home)])]
+                  net.lane_plan_.owner[static_cast<std::size_t>(home)])]
           .entry_idx.push_back(gi);
     }
     for (auto& sh : shards_) {
@@ -282,14 +272,8 @@ struct ShardRuntime {
           std::lower_bound(sh.entry_idx.begin(), sh.entry_idx.end(),
                            static_cast<std::uint32_t>(net.trace_cursor_)) -
           sh.entry_idx.begin());
-      for (RouterId r = sh.lo; r < sh.hi; ++r) {
-        const Tick e = net.routers_[static_cast<std::size_t>(r)].next_edge();
-        if (e < kInfTick) sh.wheel.push(e, r);
-        const Tick t = net.nics_[static_cast<std::size_t>(r)]
-                           .next_response_tick();
-        if (t < kInfTick) sh.responses.push({t, r});
-      }
-      sh.next_min = shard_next_min(sh);
+      sh.lane->seed();
+      sh.next_min = next_event(sh);
     }
   }
 
@@ -333,10 +317,9 @@ struct ShardRuntime {
 
   Network& net_;
   const Trace& trace_;
-  const ShardPlan plan_;
   const Tick end_tick_;
   const bool drain_;
-  std::deque<Shard> shards_;  ///< deque: EventSchedule is not movable.
+  std::vector<Shard> shards_;
   SpinBarrier mid_;  ///< End of the work phase (outboxes complete).
   SpinBarrier end_;  ///< End of the apply phase; hosts the serial section.
 
@@ -387,7 +370,7 @@ struct ShardRuntime {
         guarded(s, [&] { do_window(s); });
         break;
       case Cmd::kEpochInject:
-        guarded(s, [&] { do_epoch_inject(s); });
+        guarded(s, [&] { inject_and_mature(s, t_epoch_); });
         break;
       case Cmd::kEpochEdges:
         guarded(s, [&] { do_epoch_edges(s); });
@@ -423,20 +406,14 @@ struct ShardRuntime {
   // --- Parallel round bodies -------------------------------------------
 
   /// The shard-local event loop over [w_begin_, w_end_): the sequential
-  /// kernel's phases 1, 2 and 4 restricted to this shard's routers,
-  /// NICs and trace slice. No epoch phase (windows never cross a
-  /// boundary) and no same-tick wake rehandling (gating is off, so a
-  /// step can never land a new edge at the current tick).
+  /// kernel's phases 1, 2 and 4 over this shard's lane and trace slice. No
+  /// epoch phase (windows never cross a boundary); the same-tick wake
+  /// rule in step_due never fires (gating is off, so a step can never land
+  /// a new edge at the current tick).
   void do_window(Shard& s) {
     Env env(*this, s);
-    const auto& entries = trace_.entries();
     while (true) {
-      const Tick trace_next =
-          s.cursor < s.entry_idx.size()
-              ? entries[s.entry_idx[s.cursor]].inject_tick()
-              : kInfTick;
-      const Tick t =
-          std::min(std::min(trace_next, edge_min(s)), response_min(s));
+      const Tick t = next_event(s);
       if (t >= w_end_) {
         s.next_min = t;
         break;
@@ -444,18 +421,18 @@ struct ShardRuntime {
       DOZZ_ASSERT(t >= w_begin_);
       s.last_event = t;
       ++s.d_events;
-      inject_shard(s, t);
-      mature_shard(s, t);
-      step_edges(s, env, t);
+      inject_and_mature(s, t);
+      s.d_steps += net_.step_due(*s.lane, env, t, /*gating=*/false);
     }
   }
 
-  /// Epoch-boundary phases 1-2 at t_epoch_ (run before process_epoch in
-  /// the serial section, exactly like the sequential boundary
-  /// iteration, so the matured work counts into the closing epoch).
-  void do_epoch_inject(Shard& s) {
-    inject_shard(s, t_epoch_);
-    mature_shard(s, t_epoch_);
+  /// Phases 1-2 at `now`. At an epoch boundary they run before
+  /// process_epoch in the serial section, exactly like the sequential
+  /// boundary iteration, so the matured work counts into the closing epoch.
+  void inject_and_mature(Shard& s, Tick now) {
+    inject_shard(s, now);
+    s.d_offered +=
+        net_.mature_due(*s.lane, now, /*gating=*/false, /*punch=*/false);
   }
 
   /// Epoch-boundary phase 4: edges still due at t_epoch_. Routers whose
@@ -463,8 +440,8 @@ struct ShardRuntime {
   /// period and are correctly skipped, matching the sequential order.
   void do_epoch_edges(Shard& s) {
     Env env(*this, s);
-    step_edges(s, env, t_epoch_);
-    s.next_min = shard_next_min(s);
+    s.d_steps += net_.step_due(*s.lane, env, t_epoch_, /*gating=*/false);
+    s.next_min = next_event(s);
   }
 
   /// Applies staged ops addressed to this shard, source shards in
@@ -476,18 +453,16 @@ struct ShardRuntime {
     for (auto& src : shards_) {
       auto& ops = src.out[static_cast<std::size_t>(s.index)];
       for (const Op& op : ops) {
-        Router& r = net_.routers_[static_cast<std::size_t>(op.target)];
         switch (op.kind) {
           case Op::Kind::kDeliver:
-            r.flit_in(op.port).push({op.tick, op.vc, op.flit});
-            r.note_inbound();
+            net_.deliver(op.target, op.port, op.vc, op.tick, op.flit);
             break;
           case Op::Kind::kCredit:
-            r.credit_in(op.port).push({op.tick, op.port, op.vc});
-            r.note_credit();
+            net_.send_credit(op.target, op.port, op.vc, op.tick);
             break;
           case Op::Kind::kSecure:
-            r.mark_secured_merge(op.tick);
+            net_.routers_[static_cast<std::size_t>(op.target)]
+                .mark_secured_merge(op.tick);
             break;
         }
       }
@@ -495,136 +470,38 @@ struct ShardRuntime {
     }
   }
 
-  // --- Shard-local phase mirrors ---------------------------------------
+  // --- Shard-local trace slice ----------------------------------------
 
-  /// Phase 1 mirror: matured entries from this shard's trace slice.
+  /// Phase 1 over this shard's trace slice: the sequential injection
+  /// without its observer and gating hooks (both excluded at engagement),
+  /// with ids from the shard's stream (see trace_positional_ids_ and
+  /// Shard::next_id).
   void inject_shard(Shard& s, Tick now) {
     const auto& entries = trace_.entries();
-    const Topology& topo = *net_.ctx_.topo;
     while (s.cursor < s.entry_idx.size()) {
       const std::uint32_t gi = s.entry_idx[s.cursor];
       const TraceEntry& e = entries[gi];
       if (e.inject_tick() > now) break;
       ++s.cursor;
-      PendingPacket p;
+      std::uint64_t id;
       if (trace_positional_ids_) {
-        p.packet_id = 1 + gi;
+        id = 1 + gi;
       } else {
-        p.packet_id = s.next_id;
+        id = s.next_id;
         s.next_id += s.id_step;
       }
-      p.src_core = e.src;
-      p.dst_core = e.dst;
-      p.is_response = e.is_response;
-      p.size_flits = static_cast<std::uint16_t>(
-          e.is_response ? net_.ctx_.config.response_size_flits
-                        : net_.ctx_.config.request_size_flits);
-      p.inject_tick = now;
-      net_.nics_[static_cast<std::size_t>(topo.router_of_core(e.src))]
-          .enqueue(p);
+      net_.offer_entry(e, id, now);
       ++s.d_offered;
     }
   }
 
-  /// Phase 2 mirror: matured responses at this shard's NICs, in NIC-id
-  /// order (heap pops sorted/uniqued exactly like the indexed kernel).
-  void mature_shard(Shard& s, Tick now) {
-    if (s.responses.empty() || s.responses.top().first > now) return;
-    s.due2.clear();
-    while (!s.responses.empty() && s.responses.top().first <= now) {
-      s.due2.push_back(s.responses.top().second);
-      s.responses.pop();
-    }
-    std::sort(s.due2.begin(), s.due2.end());
-    s.due2.erase(std::unique(s.due2.begin(), s.due2.end()), s.due2.end());
-    for (const RouterId id : s.due2) {
-      NetworkInterface& n = net_.nics_[static_cast<std::size_t>(id)];
-      if (n.next_response_tick() > now) continue;  // stale entry
-      const int matured = n.mature_responses(now, nullptr);
-      s.d_offered += static_cast<std::uint64_t>(matured);
-      if (n.next_response_tick() < kInfTick)
-        s.responses.push({n.next_response_tick(), id});
-    }
-  }
-
-  /// Phase 4 mirror: edges due at `now` from the shard calendar, in
-  /// router-id order, lazy validation as in the indexed kernel. The
-  /// same-tick wake path is structurally dead here (gating off), so
-  /// after a step the router's next edge is strictly in the future.
-  void step_edges(Shard& s, Env& env, Tick now) {
-    s.due.clear();
-    while (!s.wheel.empty() && s.wheel.front_tick() <= now) {
-      const Tick tick = s.wheel.front_tick();
-      auto& bucket = s.wheel.front_bucket();
-      if (s.due.empty()) {
-        s.due.swap(bucket);
-        std::size_t live = 0;
-        for (const RouterId id : s.due)
-          if (net_.routers_[static_cast<std::size_t>(id)].next_edge() == tick)
-            s.due[live++] = id;
-        s.due.resize(live);
-      } else {
-        for (const RouterId id : bucket)
-          if (net_.routers_[static_cast<std::size_t>(id)].next_edge() == tick)
-            s.due.push_back(id);
-      }
-      s.wheel.pop_front();
-    }
-    s.wheel.advance_to(now);
-    if (!std::is_sorted(s.due.begin(), s.due.end()))
-      std::sort(s.due.begin(), s.due.end());
-    s.due.erase(std::unique(s.due.begin(), s.due.end()), s.due.end());
-    for (const RouterId id : s.due) {
-      Router& r = net_.routers_[static_cast<std::size_t>(id)];
-      if (r.next_edge() > now) continue;  // rescheduled since collection
-      ++s.d_steps;
-      r.account_until(now);
-      r.pre_step(now);
-      net_.nics_[static_cast<std::size_t>(id)].inject_into(r, now);
-      r.pipeline_step(now, env);
-      r.post_step(now, net_.nics_[static_cast<std::size_t>(id)].has_backlog());
-      r.advance_clock(now);
-      const Tick edge = r.next_edge();
-      DOZZ_ASSERT(edge > now);
-      if (edge < kInfTick) s.wheel.push(edge, id);
-    }
-  }
-
-  // --- Local next-event selection --------------------------------------
-
-  Tick edge_min(Shard& s) {
-    while (!s.wheel.empty()) {
-      const Tick tick = s.wheel.front_tick();
-      for (const RouterId id : s.wheel.front_bucket()) {
-        const Tick edge =
-            net_.routers_[static_cast<std::size_t>(id)].next_edge();
-        if (edge == tick) return tick;
-        DOZZ_ASSERT(edge > tick);
-      }
-      s.wheel.pop_front();
-    }
-    return kInfTick;
-  }
-
-  Tick response_min(Shard& s) {
-    while (!s.responses.empty()) {
-      const auto [tick, id] = s.responses.top();
-      const Tick live =
-          net_.nics_[static_cast<std::size_t>(id)].next_response_tick();
-      if (live == tick) return tick;
-      DOZZ_ASSERT(live > tick);
-      s.responses.pop();
-    }
-    return kInfTick;
-  }
-
-  Tick shard_next_min(Shard& s) {
-    const auto& entries = trace_.entries();
+  /// The shard's next local event: its next trace entry or lane event.
+  Tick next_event(Shard& s) {
     const Tick trace_next =
         s.cursor < s.entry_idx.size()
-            ? entries[s.entry_idx[s.cursor]].inject_tick()
+            ? trace_.entries()[s.entry_idx[s.cursor]].inject_tick()
             : kInfTick;
-    return std::min(std::min(trace_next, edge_min(s)), response_min(s));
+    return std::min(trace_next, s.lane->next_event());
   }
 
   // --- Serial sections --------------------------------------------------
@@ -785,28 +662,13 @@ struct ShardRuntime {
   }
 };
 
-namespace internal {
-
-void shard_schedule_edge(ShardRuntime& rt, RouterId r, Tick edge) {
-  rt.shards_[static_cast<std::size_t>(
-                 rt.plan_.owner[static_cast<std::size_t>(r)])]
-      .wheel.push(edge, r);
-}
-
-}  // namespace internal
-
 Tick Network::run_loop_sharded(const Trace& trace, Tick end_tick, bool drain,
                                int shards) {
-  ShardRuntime rt(*this, trace, shards, end_tick, drain);
-  shard_rt_ = &rt;
-  try {
-    rt.run();
-  } catch (...) {
-    shard_rt_ = nullptr;
-    throw;
-  }
-  shard_rt_ = nullptr;
+  split_lanes(shards);
+  ShardRuntime rt(*this, trace, end_tick, drain);
+  rt.run();
   shard_stall_frac_ = rt.stall_fraction();
+  split_lanes(1);
   if (interrupted_) return last_event_;
   // Finish on the sequential engine: the fixed-horizon case breaks out
   // immediately (every remaining event is at or past end_tick), the

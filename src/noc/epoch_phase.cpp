@@ -137,7 +137,6 @@ void Network::process_epoch(Tick now) {
       // domain snaps to nominal and stalls while the LDO recovers.
       if (ctx_.injector != nullptr && ctx_.injector->droop()) {
         r.apply_droop(now, ctx_.injector->droop_stall_ticks(r.active_mode()));
-        if (indexed_) schedule_edge(r.id());
       } else {
         const VfMode mode =
             ctx_.policy->wants_extended_features()
@@ -152,10 +151,10 @@ void Network::process_epoch(Tick now) {
         if (ctx_.observer != nullptr)
           ctx_.observer->on_mode_selected(now, r.id(), mode);
         r.set_active_mode(mode, now);
-        // A mode change can move this router's next edge (a new, possibly
-        // shorter period counts from now); republish it for the event heap.
-        if (indexed_) schedule_edge(r.id());
       }
+      // A droop or mode change can move this router's next edge (a new,
+      // possibly shorter period counts from now); republish it to its lane.
+      if (indexed_) schedule_edge(r.id());
       // Repeated regulator faults (failed switches, droops) pin the domain
       // to the nominal point: every future select_mode resolves through
       // PowerController::resolve_degraded to kNominalMode.

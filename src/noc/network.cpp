@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <utility>
 
 #include "src/common/error.hpp"
 
@@ -29,6 +31,29 @@ int resolve_watchdog_epochs(const NocConfig& config) {
 }
 
 }  // namespace
+
+void validate(const NocConfig& config, const KeyNamer& name) {
+  const auto reject = [&name](const std::string& key, const std::string& rule,
+                              const std::string& got) {
+    throw ConfigError((name ? name(key) : key) + " must be " + rule +
+                      " (got " + got + ")");
+  };
+  // Counts a router or packet needs at least one of.
+  const std::pair<const char*, int> counts[] = {
+      {"vcs_per_port", config.vcs_per_port},
+      {"vc_classes", config.vc_classes},
+      {"buffer_depth_flits", config.buffer_depth_flits},
+      {"request_size_flits", config.request_size_flits},
+      {"response_size_flits", config.response_size_flits},
+  };
+  for (const auto& [key, value] : counts)
+    if (value < 1) reject(key, "at least 1", std::to_string(value));
+  if (config.vcs_per_port % config.vc_classes != 0)
+    reject("vcs_per_port",
+           "a multiple of vc_classes = " + std::to_string(config.vc_classes),
+           std::to_string(config.vcs_per_port));
+  if (config.epoch_cycles < 1) reject("epoch_cycles", "at least 1", "0");
+}
 
 int resolve_shard_threads(const NocConfig& config) {
   if (config.shard_threads > 0) return config.shard_threads;
@@ -78,6 +103,7 @@ Network::Network(const Topology& topo, const NocConfig& config,
                  const SimoLdoRegulator& regulator)
     : ctx_(topo, config, policy, power, regulator),
       indexed_(!config.legacy_linear_kernel) {
+  validate(config);
   const int n = topo.num_routers();
   routers_.reserve(static_cast<std::size_t>(n));
   nics_.reserve(static_cast<std::size_t>(n));
@@ -86,26 +112,13 @@ Network::Network(const Topology& topo, const NocConfig& config,
     nics_.emplace_back(r, ctx_);
   }
   snapshots_.resize(static_cast<std::size_t>(n));
-  // An epoch boundary republishes every router's edge while the stale
-  // entries for the same tick are still in the bucket (lazy invalidation),
-  // so a bucket can briefly hold two entries per router.
-  edge_sched_.warm(2 * static_cast<std::size_t>(n));
+  split_lanes(1);
   if (ctx_.config.faults.enabled) {
     ctx_.injector =
         std::make_unique<FaultInjector>(ctx_.config.faults, regulator);
     for (auto& r : routers_) r.set_fault_injector(ctx_.injector.get());
   }
   watchdog_epochs_ = resolve_watchdog_epochs(ctx_.config);
-}
-
-Router& Network::router(RouterId r) {
-  DOZZ_REQUIRE(r >= 0 && r < static_cast<RouterId>(routers_.size()));
-  return routers_[static_cast<std::size_t>(r)];
-}
-
-const Router& Network::router(RouterId r) const {
-  DOZZ_REQUIRE(r >= 0 && r < static_cast<RouterId>(routers_.size()));
-  return routers_[static_cast<std::size_t>(r)];
 }
 
 NetworkInterface& Network::nic(RouterId r) {

@@ -2,16 +2,17 @@
 // kernel, the epoch (DVFS window) machinery, and run metrics.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "src/common/error.hpp"
 #include "src/faults/fault_injector.hpp"
-#include "src/noc/event_schedule.hpp"
+#include "src/noc/event_lane.hpp"
 #include "src/noc/extended_features.hpp"
 #include "src/noc/nic.hpp"
 #include "src/noc/noc_config.hpp"
@@ -24,8 +25,6 @@
 #include "src/trafficgen/trace.hpp"
 
 namespace dozz {
-
-struct ShardRuntime;
 
 /// Observes simulation events as they happen — debugging, tracing, and
 /// custom instrumentation without touching the kernel. All callbacks have
@@ -50,7 +49,11 @@ class EventObserver {
 ///   Network net(topo, config, policy, power, regulator);
 ///   net.run(trace, ticks_from_ns(100000));
 ///   const NetworkMetrics& m = net.metrics();
-class Network : public RouterEnvironment {
+///
+/// The class is final, and its per-flit RouterEnvironment callbacks are
+/// defined in this header, so the sharded engine's environment, which
+/// forwards its own routers' effects to them, binds and inlines them.
+class Network final : public RouterEnvironment {
  public:
   Network(const Topology& topo, const NocConfig& config,
           PowerController& policy, const PowerModel& power,
@@ -92,8 +95,14 @@ class Network : public RouterEnvironment {
     return extended_log_;
   }
 
-  Router& router(RouterId r);
-  const Router& router(RouterId r) const;
+  Router& router(RouterId r) {
+    DOZZ_REQUIRE(r >= 0 && r < static_cast<RouterId>(routers_.size()));
+    return routers_[static_cast<std::size_t>(r)];
+  }
+  const Router& router(RouterId r) const {
+    DOZZ_REQUIRE(r >= 0 && r < static_cast<RouterId>(routers_.size()));
+    return routers_[static_cast<std::size_t>(r)];
+  }
   NetworkInterface& nic(RouterId r);
   const Topology& topology() const { return *ctx_.topo; }
   Tick now() const { return ctx_.now; }
@@ -162,12 +171,41 @@ class Network : public RouterEnvironment {
   void restore_checkpoint(CkptReader& r);
 
   // --- RouterEnvironment ---
-  bool downstream_can_accept(RouterId r) const override;
-  void secure(RouterId r, Tick now) override;
+  bool downstream_can_accept(RouterId r) const override {
+    return router(r).state() == RouterState::kActive;
+  }
+  void secure(RouterId r, Tick now) override {
+    Router& target = router(r);
+    target.mark_secured(now);
+    if (target.state() == RouterState::kInactive &&
+        ctx_.policy->gating_enabled())
+      wake(r, now);
+  }
   void punch_ahead(RouterId r, RouterId dst, Tick now) override;
   void deliver(RouterId r, int port, int vc, Tick arrival,
-               const Flit& flit) override;
-  void send_credit(RouterId upstream, int port, int vc, Tick arrival) override;
+               const Flit& flit) override {
+    Router& target = router(r);
+    if (ctx_.injector != nullptr) {
+      // Link fault: bit flips during this hop's link traversal. The payload
+      // is abstract, so the damage lands on the stored CRC — exactly what
+      // the end-to-end check at ejection sees either way.
+      if (const std::uint16_t mask = ctx_.injector->corrupt_link_flit()) {
+        Flit damaged = flit;
+        damaged.crc = static_cast<std::uint16_t>(damaged.crc ^ mask);
+        target.flit_in(port).push({arrival, vc, damaged});
+        target.note_inbound();
+        return;
+      }
+    }
+    target.flit_in(port).push({arrival, vc, flit});
+    target.note_inbound();
+  }
+  void send_credit(RouterId upstream, int port, int vc,
+                   Tick arrival) override {
+    Router& up = router(upstream);
+    up.credit_in(port).push({arrival, port, vc});
+    up.note_credit();
+  }
   void eject(RouterId r, const Flit& flit, Tick now) override;
 
  private:
@@ -176,14 +214,15 @@ class Network : public RouterEnvironment {
   /// router sweep per tick. Kept behind NocConfig::legacy_linear_kernel for
   /// one release as the equivalence reference. Returns the last event tick.
   Tick run_loop_linear(const Trace& trace, Tick end_tick, bool drain);
-  /// The indexed kernel: next event times come from the lazy-invalidation
-  /// event schedule, and only routers/NICs whose event is due at now_ are
+  /// The indexed kernel: one event lane over every router supplies the
+  /// next event time, and only routers/NICs whose event is due at now_ are
   /// visited. Bit-identical to run_loop_linear (same router-id-order
   /// tie-breaking at equal ticks). Returns the last event tick.
   Tick run_loop_indexed(const Trace& trace, Tick end_tick, bool drain);
   /// The sharded engine (engine_sharded.cpp, DESIGN.md §11): contiguous
-  /// router-id shards run conservative lookahead windows on worker threads
-  /// and exchange boundary flits/credits at deterministic barriers.
+  /// router-id shards, one event lane each, run conservative lookahead
+  /// windows on worker threads and exchange boundary flits/credits at
+  /// deterministic barriers.
   /// Bit-identical to run_loop_indexed; once the trace is exhausted (drain
   /// mode) or the parallel phase cannot advance further, merges canonical
   /// state and finishes via run_loop_indexed. Returns the last event tick.
@@ -215,37 +254,78 @@ class Network : public RouterEnvironment {
   /// Power Punch: wakes/pins every router on the XY path src -> dst
   /// (inclusive) so a matured packet does not stall hop-by-hop on wakeups.
   void secure_path(RouterId src, RouterId dst, Tick now);
+  /// secure() on a gated router while gating is on: requests the wakeup,
+  /// and under faults degrades gating once too many requests are lost.
+  void wake(RouterId r, Tick now);
 
-  // --- Shared per-event phases (identical in both kernels) ---
-  /// Phase 1: matured trace entries become pending packets at their NIs.
+  // --- Per-event phases (phases.cpp; phase 4 inline here) ---
+  // Every kernel runs these; none of them touches a run counter, so the
+  // sharded engine can run them on shard threads and each caller books
+  // what they return into its own counters.
+  /// Phase 1, one trace entry: it becomes packet `id`, pending at its
+  /// source NI since `now`. Returns the source router.
+  RouterId offer_entry(const TraceEntry& e, std::uint64_t id, Tick now);
+  /// Phase 1 of the sequential kernels: every trace entry matured at the
+  /// clock, with observer and Power Punch hooks.
   void inject_matured(const std::vector<TraceEntry>& entries,
                       std::size_t& cursor, bool gating, bool punch);
-  /// Phase 2, one NIC: moves matured responses into its injection queues.
-  void mature_nic(NetworkInterface& n, bool gating, bool punch);
-  /// Phase 4, one router: account, pre-step, inject, pipeline, post-step,
-  /// gate check, advance clock.
-  void step_router(std::size_t i, bool gating);
+  /// Phase 2, one NIC: moves its responses due at `now` into the injection
+  /// queues. Returns the packets matured.
+  int mature_nic(NetworkInterface& n, Tick now, bool gating, bool punch);
+  /// Phase 2 over a lane: every NIC response due at `now`, in NIC-id
+  /// order. Returns the packets matured.
+  std::uint64_t mature_due(EventLane& lane, Tick now, bool gating,
+                           bool punch);
+  /// Phase 4, one router: account, pre-step, inject, pipeline against
+  /// `env`, post-step, gate check, advance clock. Phase 4 is defined here,
+  /// in the header, so each engine's translation unit inlines its hottest
+  /// loop.
+  void step_router(RouterId id, RouterEnvironment& env, Tick now,
+                   bool gating) {
+    const auto i = static_cast<std::size_t>(id);
+    Router& r = routers_[i];
+    r.account_until(now);
+    r.pre_step(now);
+    nics_[i].inject_into(r, now);
+    r.pipeline_step(now, env);
+    r.post_step(now, nics_[i].has_backlog());
+    if (gating && ctx_.policy->may_gate(id) && r.can_gate(now) &&
+        (ctx_.injector == nullptr || !ctx_.policy->gating_degraded(id))) {
+      r.gate_off(now);
+      if (ctx_.observer != nullptr) ctx_.observer->on_gate_off(now, id);
+    }
+    r.advance_clock(now);
+  }
+  /// Phase 4 over a lane: every clock edge due at `now`, in router-id
+  /// order, republishing each stepped edge and applying the lane's
+  /// same-tick wake rule. Returns the edges stepped.
+  std::uint64_t step_due(EventLane& lane, RouterEnvironment& env, Tick now,
+                         bool gating) {
+    std::uint64_t steps = 0;
+    const std::vector<RouterId>& due = lane.take_due_edges(now);
+    // admit_same_tick can grow the due list while it is walked: index it.
+    for (std::size_t k = 0; k < due.size(); ++k) {
+      const RouterId id = due[k];
+      const Router& r = routers_[static_cast<std::size_t>(id)];
+      if (r.next_edge() > now) continue;  // rescheduled since collection
+      step_router(id, env, now, gating);
+      ++steps;
+      if (r.next_edge() < kInfTick) lane.push_edge(id, r.next_edge());
+      lane.admit_same_tick(now, k);
+    }
+    return steps;
+  }
 
-  // --- Indexed event schedule ---
-  /// Entries are (tick, id) with lazy invalidation: an entry is live iff
-  /// its tick still equals the owner's current next_edge() /
-  /// next_response_tick(); anything stale is discarded when read.
-  /// Rescheduling only ever pushes (it never edits), so the live minimum
-  /// is always present. Clock edges live in a tick-bucketed calendar queue
-  /// (they cluster on few distinct ticks); the rarer NIC responses use a
-  /// plain binary min-heap.
-  using ScheduledEvent = std::pair<Tick, RouterId>;
-  using EventHeap =
-      std::priority_queue<ScheduledEvent, std::vector<ScheduledEvent>,
-                          std::greater<ScheduledEvent>>;
-  /// (Re)publishes `r`'s current next_edge() into the edge schedule.
+  // --- Event lanes (event_lane.hpp) ---
+  /// Replaces the lanes with `shards` contiguous ones (make_shard_plan);
+  /// 1 = one lane over every router, the sequential kernel's.
+  void split_lanes(int shards);
+  EventLane& lane_of(RouterId r) {
+    return lanes_[static_cast<std::size_t>(
+        lane_plan_.owner[static_cast<std::size_t>(r)])];
+  }
+  /// (Re)publishes `r`'s current next_edge() into its lane.
   void schedule_edge(RouterId r);
-  /// Compacts stale entries out of the front edge bucket(s); returns the
-  /// live minimum edge tick (kInfTick if none).
-  Tick edge_min();
-  /// Pops stale entries off the top; returns the live minimum response
-  /// tick (kInfTick if empty).
-  Tick response_min();
 
   /// Shared services (config, clock, stats sinks, fault injector, hooks)
   /// threaded through the extracted phase TUs.
@@ -285,19 +365,19 @@ class Network : public RouterEnvironment {
   int stalled_epochs_ = 0;
   std::uint64_t last_progress_flits_ = 0;
 
-  bool indexed_ = false;  ///< Indexed kernel active (schedules maintained).
-  /// Live only while run_loop_sharded()'s parallel phase is active:
-  /// schedule_edge() then routes republished edges into the owning shard's
-  /// calendar instead of the sequential one.
-  ShardRuntime* shard_rt_ = nullptr;
+  bool indexed_ = false;  ///< Indexed kernel active (lanes maintained).
   int shards_used_ = 1;
   double shard_stall_frac_ = 0.0;
-  EventSchedule edge_sched_;
-  EventHeap response_heap_;
+  /// Which lane owns each router: one lane over every router, except
+  /// while run_loop_sharded()'s parallel phase runs one lane per shard.
+  ShardPlan lane_plan_;
+  std::deque<EventLane> lanes_;  ///< deque: EventLane is not movable.
   std::uint64_t pending_responses_ = 0;  ///< Scheduled but not yet matured.
   std::uint64_t kernel_events_ = 0;
   std::uint64_t edge_steps_ = 0;
-  std::vector<CoreId> dsts_scratch_;  ///< mature_nic punch targets.
+  /// mature_nic punch targets. Only filled when gating, which the sharded
+  /// engine never runs, so shard threads never share it.
+  std::vector<CoreId> dsts_scratch_;
 
   std::vector<std::vector<EpochFeatures>> epoch_log_;
   std::vector<std::vector<std::vector<double>>> extended_log_;
@@ -310,7 +390,7 @@ class Network : public RouterEnvironment {
   ExtendedFeatureInputs ext_in_scratch_;
 
   /// The sharded engine lives in its own TU and drives the same private
-  /// phase state (routers, NICs, counters, schedules) as the sequential
+  /// phases and state (routers, NICs, counters, lanes) as the sequential
   /// kernels.
   friend struct ShardRuntime;
 

@@ -11,16 +11,7 @@
 
 namespace dozz {
 
-struct ShardRuntime;
-
 namespace internal {
-
-/// Routes a republished clock edge into the owning shard's calendar while
-/// the sharded engine's parallel phase is live (defined in
-/// engine_sharded.cpp; called from Network::schedule_edge so the serial
-/// epoch phase — mode switches changing next_edge() — lands edges in the
-/// right per-shard wheel).
-void shard_schedule_edge(ShardRuntime& rt, RouterId r, Tick edge);
 
 /// FNV-1a over the trace's entry fields (not raw struct bytes, which would
 /// hash padding). A resumed run validates this fingerprint so a checkpoint

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "src/common/error.hpp"
 #include "src/common/time.hpp"
 #include "src/faults/fault_config.hpp"
 #include "src/topology/topology.hpp"
@@ -53,19 +54,19 @@ struct NocConfig {
 
   // --- Kernel selection ---
   /// Run the pre-indexed event kernel: a full O(routers + NICs) min-scan
-  /// per event and a full router sweep per clock edge. The indexed kernel
-  /// (event heaps with lazy invalidation) is bit-identical and strictly
-  /// faster; this escape hatch exists for one release so the equivalence
-  /// can be re-checked, then it will be removed.
+  /// per event and a full router sweep per clock edge. The indexed and
+  /// sharded engines (event lanes with lazy invalidation) are bit-identical
+  /// to it; it shares none of their lane code, so it stays as the
+  /// independent reference the equivalence tests compare them against.
   bool legacy_linear_kernel = false;
 
   /// Intra-run parallelism: number of shard worker threads for a single
   /// simulation (DESIGN.md §11). Each shard owns a contiguous router-id
-  /// range and its own tick-wheel calendar; shards synchronize at
+  /// range and its own event lane; shards synchronize at
   /// conservative lookahead windows and at epoch boundaries, and results
   /// are bit-identical to the sequential engine at any thread count.
   /// 0 = auto (DOZZ_SHARD_THREADS env var if set, else 1); 1 = sequential
-  /// (the default engine, retained verbatim). The sharded engine engages
+  /// (the default engine). The sharded engine engages
   /// only for configurations it can replay exactly (non-gating policy, no
   /// faults, no observer, no extended-feature capture, indexed kernel,
   /// link_latency_cycles >= 1, and packet-id-inert VC selection); anything
@@ -93,5 +94,11 @@ struct NocConfig {
 /// run_batch()/run_batch_supervised() use it to split the thread budget
 /// between sweep-level and intra-run parallelism.
 int resolve_shard_threads(const NocConfig& config);
+
+/// Throws ConfigError naming the first key of `config` no simulation can
+/// run with: no virtual channels, VC classes that do not divide them, a
+/// zero buffer depth or packet size, or a zero-cycle epoch. The Network
+/// constructor calls it; keys are the field names ("epoch_cycles").
+void validate(const NocConfig& config, const KeyNamer& name = {});
 
 }  // namespace dozz

@@ -1,7 +1,9 @@
-// Per-event simulation phases shared by both kernels: trace injection,
-// NIC response maturation, router stepping, and the RouterEnvironment
-// callbacks (flit/credit transport, Power Punch wakeups, ejection with the
-// end-to-end CRC check and retransmission scheduling).
+// Per-event simulation phases shared by every kernel: trace injection and
+// NIC response maturation (per NIC, and over an event lane for the indexed
+// and sharded engines), and the RouterEnvironment callbacks that are not
+// inline in network.hpp (Power Punch wakeups, ejection with the end-to-end
+// CRC check and retransmission scheduling). Router stepping (phase 4)
+// lives in network.hpp so each engine inlines it.
 #include "src/common/error.hpp"
 #include "src/common/log.hpp"
 #include "src/faults/crc.hpp"
@@ -9,33 +11,24 @@
 
 namespace dozz {
 
-bool Network::downstream_can_accept(RouterId r) const {
-  return router(r).state() == RouterState::kActive;
-}
-
-void Network::secure(RouterId r, Tick now) {
+void Network::wake(RouterId r, Tick now) {
   Router& target = router(r);
-  target.mark_secured(now);
-  if (target.state() == RouterState::kInactive &&
-      ctx_.policy->gating_enabled()) {
-    target.request_wake(now);
-    if (target.state() != RouterState::kInactive) {
-      if (indexed_) schedule_edge(r);  // wake moved next_edge off kInfTick
-      if (ctx_.observer != nullptr) ctx_.observer->on_wakeup_begin(now, r);
-    } else if (ctx_.injector != nullptr) {
-      // The wake request was lost (dropped, or refused by a stuck power
-      // switch). The caller's secure() pokes retry on every subsequent
-      // cycle; once losses pass the threshold, stop gating this router —
-      // an unwakeable router is worse than an always-on one.
-      if (!ctx_.policy->gating_degraded(r) &&
-          target.wake_faults() >= static_cast<std::uint64_t>(
-                                      ctx_.config.faults.wake_loss_threshold)) {
-        ctx_.policy->degrade_gating(r);
-        ++ctx_.injector->stats().routers_gating_degraded;
-        DOZZ_LOG_INFO("fault: router " << r << " lost "
-                      << target.wake_faults()
-                      << " wake requests; gating degraded off");
-      }
+  target.request_wake(now);
+  if (target.state() != RouterState::kInactive) {
+    if (indexed_) schedule_edge(r);  // wake moved next_edge off kInfTick
+    if (ctx_.observer != nullptr) ctx_.observer->on_wakeup_begin(now, r);
+  } else if (ctx_.injector != nullptr) {
+    // The wake request was lost (dropped, or refused by a stuck power
+    // switch). The caller's secure() pokes retry on every subsequent
+    // cycle; once losses pass the threshold, stop gating this router —
+    // an unwakeable router is worse than an always-on one.
+    if (!ctx_.policy->gating_degraded(r) &&
+        target.wake_faults() >= static_cast<std::uint64_t>(
+                                    ctx_.config.faults.wake_loss_threshold)) {
+      ctx_.policy->degrade_gating(r);
+      ++ctx_.injector->stats().routers_gating_degraded;
+      DOZZ_LOG_INFO("fault: router " << r << " lost " << target.wake_faults()
+                    << " wake requests; gating degraded off");
     }
   }
 }
@@ -58,31 +51,6 @@ void Network::secure_path(RouterId src, RouterId dst, Tick now) {
     cur = nh;
     secure(cur, now);
   }
-}
-
-void Network::deliver(RouterId r, int port, int vc, Tick arrival,
-                      const Flit& flit) {
-  Router& target = router(r);
-  if (ctx_.injector != nullptr) {
-    // Link fault: bit flips during this hop's link traversal. The payload
-    // is abstract, so the damage lands on the stored CRC — exactly what
-    // the end-to-end check at ejection sees either way.
-    if (const std::uint16_t mask = ctx_.injector->corrupt_link_flit()) {
-      Flit damaged = flit;
-      damaged.crc = static_cast<std::uint16_t>(damaged.crc ^ mask);
-      target.flit_in(port).push({arrival, vc, damaged});
-      target.note_inbound();
-      return;
-    }
-  }
-  target.flit_in(port).push({arrival, vc, flit});
-  target.note_inbound();
-}
-
-void Network::send_credit(RouterId upstream, int port, int vc, Tick arrival) {
-  Router& up = router(upstream);
-  up.credit_in(port).push({arrival, port, vc});
-  up.note_credit();
 }
 
 void Network::eject(RouterId r, const Flit& flit, Tick now) {
@@ -126,7 +94,7 @@ void Network::eject(RouterId r, const Flit& flit, Tick now) {
     sink.schedule_response(next_packet_id_++, flit.dst_core, flit.src_core,
                            ready);
     ++pending_responses_;
-    if (indexed_) response_heap_.push({ready, r});
+    if (indexed_) lane_of(r).push_response(r, ready);
   }
 }
 
@@ -157,30 +125,35 @@ void Network::handle_corrupt_tail(const Flit& tail, Tick now) {
   const RouterId src = ctx_.topo->router_of_core(tail.src_core);
   nic(src).schedule_retransmit(p, ready);
   ++pending_responses_;
-  if (indexed_) response_heap_.push({ready, src});
+  if (indexed_) lane_of(src).push_response(src, ready);
   ++fs.retransmissions;
   DOZZ_LOG_DEBUG("fault: packet " << tail.packet_id
                  << " failed CRC; retransmit attempt "
                  << static_cast<int>(p.retry) << " scheduled");
 }
 
+RouterId Network::offer_entry(const TraceEntry& e, std::uint64_t id,
+                              Tick now) {
+  PendingPacket p;
+  p.packet_id = id;
+  p.src_core = e.src;
+  p.dst_core = e.dst;
+  p.is_response = e.is_response;
+  p.size_flits = static_cast<std::uint16_t>(
+      e.is_response ? ctx_.config.response_size_flits
+                    : ctx_.config.request_size_flits);
+  p.inject_tick = now;
+  const RouterId home = ctx_.topo->router_of_core(e.src);
+  nics_[static_cast<std::size_t>(home)].enqueue(p);
+  return home;
+}
+
 void Network::inject_matured(const std::vector<TraceEntry>& entries,
                              std::size_t& cursor, bool gating, bool punch) {
-  const Topology& topo = *ctx_.topo;
   while (cursor < entries.size() &&
          entries[cursor].inject_tick() <= ctx_.now) {
     const TraceEntry& e = entries[cursor++];
-    PendingPacket p;
-    p.packet_id = next_packet_id_++;
-    p.src_core = e.src;
-    p.dst_core = e.dst;
-    p.is_response = e.is_response;
-    p.size_flits = static_cast<std::uint16_t>(
-        e.is_response ? ctx_.config.response_size_flits
-                      : ctx_.config.request_size_flits);
-    p.inject_tick = ctx_.now;
-    const RouterId home = topo.router_of_core(e.src);
-    nic(home).enqueue(p);
+    const RouterId home = offer_entry(e, next_packet_id_++, ctx_.now);
     ++ctx_.metrics.packets_offered;
     if (ctx_.observer != nullptr)
       ctx_.observer->on_packet_offered(ctx_.now, e.src, e.dst, e.is_response);
@@ -188,7 +161,7 @@ void Network::inject_matured(const std::vector<TraceEntry>& entries,
       // The destination's home router is only needed on the punch path, so
       // compute it lazily rather than per entry.
       if (punch) {
-        secure_path(home, topo.router_of_core(e.dst), ctx_.now);
+        secure_path(home, ctx_.topo->router_of_core(e.dst), ctx_.now);
       } else {
         secure(home, ctx_.now);
       }
@@ -196,37 +169,36 @@ void Network::inject_matured(const std::vector<TraceEntry>& entries,
   }
 }
 
-void Network::mature_nic(NetworkInterface& n, bool gating, bool punch) {
-  dsts_scratch_.clear();
-  const int matured = n.mature_responses(ctx_.now, &dsts_scratch_);
-  pending_responses_ -= static_cast<std::uint64_t>(matured);
-  ctx_.metrics.packets_offered += static_cast<std::uint64_t>(matured);
+int Network::mature_nic(NetworkInterface& n, Tick now, bool gating,
+                        bool punch) {
+  const bool punch_paths = gating && punch;
+  if (punch_paths) dsts_scratch_.clear();
+  const int matured =
+      n.mature_responses(now, punch_paths ? &dsts_scratch_ : nullptr);
   if (matured > 0 && gating) {
-    if (punch) {
+    if (punch_paths) {
       const Topology& topo = *ctx_.topo;
       const RouterId home = n.router();
       for (CoreId dst : dsts_scratch_)
-        secure_path(home, topo.router_of_core(dst), ctx_.now);
+        secure_path(home, topo.router_of_core(dst), now);
     } else {
-      secure(n.router(), ctx_.now);
+      secure(n.router(), now);
     }
   }
+  return matured;
 }
 
-void Network::step_router(std::size_t i, bool gating) {
-  Router& r = routers_[i];
-  ++edge_steps_;
-  r.account_until(ctx_.now);
-  r.pre_step(ctx_.now);
-  nics_[i].inject_into(r, ctx_.now);
-  r.pipeline_step(ctx_.now, *this);
-  r.post_step(ctx_.now, nics_[i].has_backlog());
-  if (gating && ctx_.policy->may_gate(r.id()) && r.can_gate(ctx_.now) &&
-      (ctx_.injector == nullptr || !ctx_.policy->gating_degraded(r.id()))) {
-    r.gate_off(ctx_.now);
-    if (ctx_.observer != nullptr) ctx_.observer->on_gate_off(ctx_.now, r.id());
+std::uint64_t Network::mature_due(EventLane& lane, Tick now, bool gating,
+                                  bool punch) {
+  std::uint64_t matured = 0;
+  for (const RouterId id : lane.take_due_responses(now)) {
+    NetworkInterface& n = nics_[static_cast<std::size_t>(id)];
+    if (n.next_response_tick() > now) continue;  // stale entry
+    matured += static_cast<std::uint64_t>(mature_nic(n, now, gating, punch));
+    if (n.next_response_tick() < kInfTick)
+      lane.push_response(id, n.next_response_tick());
   }
-  r.advance_clock(ctx_.now);
+  return matured;
 }
 
 }  // namespace dozz

@@ -12,11 +12,12 @@
 namespace dozz {
 
 Router::Router(RouterId id, const Topology& topo, const NocConfig& config,
+               const FlatRouteTable& routes,
                const SimoLdoRegulator& regulator, EnergyAccountant accountant,
                VfMode initial_mode)
-    : id_(id), topo_(&topo), config_(&config),
-      routing_(&routing_policy(config.routing)), regulator_(&regulator),
-      mode_(initial_mode), accountant_(std::move(accountant)) {
+    : id_(id), topo_(&topo), config_(&config), routes_(&routes),
+      regulator_(&regulator), mode_(initial_mode),
+      accountant_(std::move(accountant)) {
   DOZZ_REQUIRE(config.vc_classes >= 1 &&
                config.vcs_per_port % config.vc_classes == 0);
   const int ports = topo.ports_per_router();
@@ -53,11 +54,9 @@ Router::Router(RouterId id, const Topology& topo, const NocConfig& config,
 }
 
 Router::Router(RouterId id, const SimContext& ctx)
-    : Router(id, *ctx.topo, ctx.config, *ctx.regulator,
+    : Router(id, *ctx.topo, ctx.config, ctx.routes, *ctx.regulator,
              EnergyAccountant(*ctx.power, *ctx.regulator, ctx.ml_overhead),
-             ctx.policy->initial_mode()) {
-  routes_ = &ctx.routes;
-}
+             ctx.policy->initial_mode()) {}
 
 Tick Router::total_off_ticks(Tick now) const {
   Tick total = accountant_.inactive_ticks();
@@ -146,14 +145,9 @@ void Router::drain_flits(Tick now) {
 int Router::compute_output_port(const Flit& flit) const {
   if (flit.dst_router == id_)
     return topo_->local_port(topo_->local_slot_of_core(flit.dst_core));
-  if (routes_ != nullptr) {
-    const std::uint8_t d = routes_->dir(id_, flit.dst_router);
-    DOZZ_ASSERT(d != FlatRouteTable::kEject);
-    return static_cast<int>(d);
-  }
-  const auto dir = routing_->route(*topo_, id_, flit.dst_router);
-  DOZZ_ASSERT(dir.has_value());
-  return static_cast<int>(*dir);
+  const std::uint8_t d = routes_->dir(id_, flit.dst_router);
+  DOZZ_ASSERT(d != FlatRouteTable::kEject);
+  return static_cast<int>(d);
 }
 
 void Router::route_and_allocate(Tick now, RouterEnvironment& env) {

@@ -24,17 +24,13 @@
 #include "src/topology/topology.hpp"
 
 namespace dozz {
-class FlatRouteTable;
-class RoutingPolicy;
-struct SimContext;
-}
-
-namespace dozz {
 
 class CkptWriter;
 class CkptReader;
 class FaultInjector;
+class FlatRouteTable;
 class Router;
+struct SimContext;
 
 /// Services a router needs from the surrounding network: downstream state
 /// checks, flit/credit delivery, securing (wake) pokes, and ejection.
@@ -69,13 +65,14 @@ enum class RouterState : std::uint8_t { kInactive, kWakeup, kActive };
 
 class Router {
  public:
+  /// `routes` must be the next-hop table of `topo` under config.routing.
   Router(RouterId id, const Topology& topo, const NocConfig& config,
-         const SimoLdoRegulator& regulator, EnergyAccountant accountant,
-         VfMode initial_mode);
+         const FlatRouteTable& routes, const SimoLdoRegulator& regulator,
+         EnergyAccountant accountant, VfMode initial_mode);
 
   /// Convenience wiring from the shared simulation context: topology,
-  /// config, regulator, accountant models and the policy's initial mode
-  /// all come from `ctx`.
+  /// config, route table, regulator, accountant models and the policy's
+  /// initial mode all come from `ctx`.
   Router(RouterId id, const SimContext& ctx);
 
   RouterId id() const { return id_; }
@@ -251,12 +248,7 @@ class Router {
   RouterId id_;
   const Topology* topo_;
   const NocConfig* config_;
-  const RoutingPolicy* routing_;  ///< resolved from config_->routing
-  /// Flat next-hop table from the SimContext; non-null on the SimContext
-  /// wiring path. The raw constructor (unit tests) leaves it null and
-  /// route compute falls back to the virtual policy — same decisions,
-  /// table lookups just skip the dispatch.
-  const FlatRouteTable* routes_ = nullptr;
+  const FlatRouteTable* routes_;  ///< Next hops under config_->routing.
   const SimoLdoRegulator* regulator_;
 
   std::array<RouterId, kNumDirections> neighbor_;  ///< -1 at mesh edges.

@@ -43,7 +43,6 @@ struct ShardPlan {
   /// owner[r] = shard owning router r (flat lookup for the hot path).
   std::vector<int> owner;
 
-  int shards() const { return static_cast<int>(bounds.size()) - 1; }
   RouterId begin(int s) const { return bounds[static_cast<std::size_t>(s)]; }
   RouterId end(int s) const {
     return bounds[static_cast<std::size_t>(s) + 1];

@@ -1,15 +1,35 @@
 #include "src/sim/setup.hpp"
 
+#include <cmath>
 #include <cstdlib>
+#include <string>
 
+#include "src/common/error.hpp"
 #include "src/sim/registries.hpp"
 
 namespace dozz {
 
 Topology SimSetup::make_topology() const {
-  if (!topology.empty()) return topology_registry().at(topology).make();
-  if (torus) return make_torus();
-  return cmesh ? make_cmesh() : make_mesh();
+  return topology_registry().at(topology).make();
+}
+
+void validate(const SimSetup& setup, double compression,
+              const KeyNamer& name) {
+  const auto named = [&name](const std::string& key) {
+    return name ? name(key) : key;
+  };
+  validate(setup.noc,
+           [&named](const std::string& key) { return named("noc." + key); });
+  // max_drain_tick() is 8 * end_tick() and must stay below kInfTick.
+  constexpr std::uint64_t kMaxCycles = kInfTick / (8 * kBaselinePeriodTicks);
+  if (setup.duration_cycles < 1 || setup.duration_cycles > kMaxCycles)
+    throw ConfigError(named("duration_cycles") + " must be between 1 and " +
+                      std::to_string(kMaxCycles) + " (got " +
+                      std::to_string(setup.duration_cycles) + ")");
+  if (!(compression > 0.0) || !std::isfinite(compression))
+    throw ConfigError(named("compression") +
+                      " must be a positive number (got " +
+                      std::to_string(compression) + ")");
 }
 
 std::uint64_t quick_divisor() {

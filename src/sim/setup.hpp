@@ -16,13 +16,10 @@ inline constexpr double kCompressedFactor = 0.25;
 
 /// One experiment configuration: topology + simulator parameters + length.
 struct SimSetup {
-  bool cmesh = false;  ///< false: 8x8 mesh; true: 4x4 concentrated mesh.
-  bool torus = false;  ///< 8x8 torus (set noc.vc_classes = 2; overrides
-                       ///< cmesh).
-  /// Topology-registry name ("mesh", "cmesh", "torus", ...). When set it
-  /// overrides the legacy booleans above; configure with
-  /// configure_topology() so routing/VC-class rules apply.
-  std::string topology;
+  /// Topology-registry name ("mesh", "cmesh", "torus", ...). Apply its
+  /// rules to `noc` with configure_topology() so routing/VC-class defaults
+  /// hold (the torus needs torus-xy routing and two VC classes).
+  std::string topology = "mesh";
   NocConfig noc;
   std::uint64_t duration_cycles = 60000;  ///< Run window, baseline cycles.
   /// Paper methodology: run each trace to completion, so a slower policy
@@ -30,8 +27,7 @@ struct SimSetup {
   /// static-energy numbers measure). When false, runs a fixed window.
   bool run_to_drain = false;
 
-  /// Builds the topology: by registry name when `topology` is set, from
-  /// the legacy booleans otherwise.
+  /// Builds the topology named by `topology` from the registry.
   Topology make_topology() const;
 
   Tick end_tick() const { return duration_cycles * kBaselinePeriodTicks; }
@@ -39,6 +35,15 @@ struct SimSetup {
   /// Safety horizon for drain mode: well past any sane completion time.
   Tick max_drain_tick() const { return end_tick() * 8; }
 };
+
+/// validate(setup.noc) plus the run's own parameters: the duration must be
+/// at least one cycle and keep the drain horizon inside the tick range,
+/// and the trace `compression` factor must be positive and finite. Throws
+/// ConfigError naming the key ("noc.epoch_cycles", "duration_cycles",
+/// "compression") through `name`. Front ends call it before any trace
+/// generation or training.
+void validate(const SimSetup& setup, double compression = 1.0,
+              const KeyNamer& name = {});
 
 /// Scale factor for bench workloads, settable via the DOZZ_QUICK environment
 /// variable (e.g. DOZZ_QUICK=4 divides run lengths by 4 for smoke runs).

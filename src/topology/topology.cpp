@@ -16,15 +16,6 @@ Direction opposite(Direction d) {
   DOZZ_ASSERT(false);
 }
 
-const char* routing_name(RoutingAlgorithm algo) {
-  switch (algo) {
-    case RoutingAlgorithm::kXY: return "XY";
-    case RoutingAlgorithm::kYX: return "YX";
-    case RoutingAlgorithm::kTorusXY: return "TorusXY";
-  }
-  DOZZ_ASSERT(false);
-}
-
 const char* direction_name(Direction d) {
   switch (d) {
     case Direction::kNorth: return "N";
@@ -160,23 +151,6 @@ std::optional<Direction> Topology::route_yx(RouterId current,
   if (const auto x = dim_step(x_of(current), x_of(dest), width_, wrap_))
     return *x ? Direction::kEast : Direction::kWest;
   return std::nullopt;
-}
-
-std::optional<Direction> Topology::route(RouterId current, RouterId dest,
-                                         RoutingAlgorithm algo) const {
-  // kTorusXY shares the XY path: route_xy already resolves wraparound via
-  // the topology's wrap flag, so the enum value only gates validation.
-  return algo == RoutingAlgorithm::kYX ? route_yx(current, dest)
-                                       : route_xy(current, dest);
-}
-
-std::optional<RouterId> Topology::next_hop(RouterId current, RouterId dest,
-                                           RoutingAlgorithm algo) const {
-  const auto dir = route(current, dest, algo);
-  if (!dir) return std::nullopt;
-  const auto n = neighbor(current, *dir);
-  DOZZ_ASSERT(n.has_value());  // DOR never points off the grid
-  return n;
 }
 
 int Topology::hop_count(RouterId src, RouterId dest) const {

@@ -40,8 +40,6 @@ enum class RoutingAlgorithm : std::uint8_t {
                  ///< topology and >= 2 VC classes for deadlock freedom.
 };
 
-const char* routing_name(RoutingAlgorithm algo);
-
 /// True when both directions lie in the same dimension (E/W or N/S).
 bool same_dimension(Direction a, Direction b);
 
@@ -95,15 +93,6 @@ class Topology {
 
   /// YX dimension-order routing (Y resolved first).
   std::optional<Direction> route_yx(RouterId current, RouterId dest) const;
-
-  /// Dispatches to the requested routing algorithm.
-  std::optional<Direction> route(RouterId current, RouterId dest,
-                                 RoutingAlgorithm algo) const;
-
-  /// Next router on the path, or nullopt when current == dest.
-  std::optional<RouterId> next_hop(
-      RouterId current, RouterId dest,
-      RoutingAlgorithm algo = RoutingAlgorithm::kXY) const;
 
   /// Number of router-to-router hops (minimal for both algorithms).
   int hop_count(RouterId src, RouterId dest) const;

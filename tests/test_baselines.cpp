@@ -5,6 +5,7 @@
 #include "src/common/error.hpp"
 #include "src/core/baselines.hpp"
 #include "src/sim/oracle.hpp"
+#include "src/sim/registries.hpp"
 #include "src/sim/replicate.hpp"
 #include "src/sim/runner.hpp"
 #include "src/trafficgen/patterns.hpp"
@@ -76,7 +77,8 @@ TEST(Trajectory, ExtractsIbuColumn) {
 
 TEST(OracleRun, EndToEndDeliversAndSaves) {
   SimSetup setup;
-  setup.cmesh = true;
+  setup.topology = "cmesh";
+  configure_topology(setup.topology, "", &setup.noc);
   setup.duration_cycles = 6000;
   setup.noc.epoch_cycles = 250;
   const Trace trace = make_benchmark_trace(setup, "lu");
@@ -113,7 +115,8 @@ TEST(Edp, SlowerRunWithSameEnergyHasWorseEdp) {
 
 TEST(Replicate, AggregatesAcrossSeeds) {
   SimSetup setup;
-  setup.cmesh = true;
+  setup.topology = "cmesh";
+  configure_topology(setup.topology, "", &setup.noc);
   setup.duration_cycles = 5000;
   setup.noc.epoch_cycles = 250;
   const ReplicatedResult r =
@@ -152,7 +155,8 @@ TEST(RouterParking, GatesOnlyAfterSilentEpochs) {
 
 TEST(RouterParking, EndToEndParksLessAggressivelyThanPg) {
   SimSetup setup;
-  setup.cmesh = true;
+  setup.topology = "cmesh";
+  configure_topology(setup.topology, "", &setup.noc);
   setup.duration_cycles = 8000;
   setup.noc.epoch_cycles = 250;
   const Trace trace = make_benchmark_trace(setup, "lu");

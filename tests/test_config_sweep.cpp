@@ -62,7 +62,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param)) + "p" +
              std::to_string(std::get<2>(info.param)) + "l" +
              std::to_string(std::get<3>(info.param)) +
-             routing_name(std::get<4>(info.param));
+             (std::get<4>(info.param) == RoutingAlgorithm::kXY ? "XY" : "YX");
     });
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Error-path hardening: loaders must fail with typed exceptions that name
-// the offending file and position, and the thread pool must account for
-// every task exception (not just the one wait_all rethrows).
+// the offending file and position, run parameters no simulation can use
+// must fail with a ConfigError naming the key, and the thread pool must
+// account for every task exception (not just the one wait_all rethrows).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,8 +14,11 @@
 
 #include "src/common/error.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/core/policies.hpp"
 #include "src/ml/ridge.hpp"
+#include "src/noc/network.hpp"
 #include "src/sim/config_file.hpp"
+#include "src/sim/setup.hpp"
 #include "src/trafficgen/trace.hpp"
 
 namespace dozz {
@@ -136,6 +140,79 @@ TEST_F(ErrorPathTest, ConfigBadLineNamesPathAndLine) {
 }
 
 // --- Thread pool exception accounting ---
+
+/// Expects `fn` to throw a ConfigError whose message starts with `key`.
+void expect_config_error(const std::function<void()>& fn,
+                         const std::string& key) {
+  try {
+    fn();
+    FAIL() << "expected a ConfigError naming " << key;
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind(key + " must be", 0), 0u)
+        << e.what();
+  }
+}
+
+/// A Network built on `config` (the constructor validates it).
+void build_network(const NocConfig& config) {
+  const Topology topo = make_mesh(4, 4);
+  const PowerModel power;
+  const SimoLdoRegulator regulator;
+  BaselinePolicy policy;
+  Network net(topo, config, policy, power, regulator);
+}
+
+TEST(RunParameters, DefaultsAreValid) {
+  EXPECT_NO_THROW(validate(SimSetup{}));
+  EXPECT_NO_THROW(build_network(NocConfig{}));
+}
+
+TEST(RunParameters, ZeroEpochIsAConfigError) {
+  // A zero-cycle epoch would divide by zero where a run sizes its epoch logs.
+  SimSetup setup;
+  setup.noc.epoch_cycles = 0;
+  expect_config_error([&] { validate(setup); }, "noc.epoch_cycles");
+  expect_config_error([&] { build_network(setup.noc); }, "epoch_cycles");
+}
+
+TEST(RunParameters, ZeroVcsIsAConfigError) {
+  SimSetup setup;
+  setup.noc.vcs_per_port = 0;
+  expect_config_error([&] { validate(setup); }, "noc.vcs_per_port");
+  expect_config_error([&] { build_network(setup.noc); }, "vcs_per_port");
+}
+
+TEST(RunParameters, ZeroDepthIsAConfigError) {
+  SimSetup setup;
+  setup.noc.buffer_depth_flits = 0;
+  expect_config_error([&] { validate(setup); }, "noc.buffer_depth_flits");
+  expect_config_error([&] { build_network(setup.noc); },
+                      "buffer_depth_flits");
+}
+
+TEST(RunParameters, NegativeCyclesIsAConfigError) {
+  // What strtoull makes of "-5": a duration whose drain horizon overflows
+  // the tick range.
+  SimSetup setup;
+  setup.duration_cycles = static_cast<std::uint64_t>(-5);
+  expect_config_error([&] { validate(setup); }, "duration_cycles");
+  setup.duration_cycles = 0;
+  expect_config_error([&] { validate(setup); }, "duration_cycles");
+}
+
+TEST(RunParameters, ZeroCompressionIsAConfigError) {
+  expect_config_error([] { validate(SimSetup{}, 0.0); }, "compression");
+  expect_config_error([] { validate(SimSetup{}, -0.25); }, "compression");
+}
+
+TEST(RunParameters, ErrorsNameKeysThroughTheNamer) {
+  SimSetup setup;
+  setup.noc.epoch_cycles = 0;
+  const KeyNamer as_flag = [](const std::string& key) {
+    return key == "noc.epoch_cycles" ? std::string("--epoch") : key;
+  };
+  expect_config_error([&] { validate(setup, 1.0, as_flag); }, "--epoch");
+}
 
 TEST(ThreadPoolErrors, SuppressedExceptionsAreCounted) {
   ThreadPool pool(2);

@@ -4,6 +4,8 @@
 // act as the oracle; this test exists to drive them through odd corners.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -110,11 +112,18 @@ void write_raw(const std::string& path,
   EXPECT_TRUE(out.good()) << path;
 }
 
+/// A temp-dir path private to this process. ctest runs each case below as
+/// its own process, so under `ctest -j` a shared name would let one case's
+/// TearDownTestSuite delete the checkpoint another case is still reading.
+std::string process_temp_path(const std::string& name) {
+  return ::testing::TempDir() + name + "." + std::to_string(getpid());
+}
+
 class CheckpointFuzz : public ::testing::Test {
  protected:
   // One real mid-run checkpoint, shared by every corruption below.
   static void SetUpTestSuite() {
-    path_ = new std::string(::testing::TempDir() + "fuzz_ckpt.bin");
+    path_ = new std::string(process_temp_path("fuzz_ckpt.bin"));
     const Topology topo = make_mesh(4, 4);
     NocConfig config;
     config.epoch_cycles = 200;
@@ -146,8 +155,7 @@ class CheckpointFuzz : public ::testing::Test {
   // reject it with a CheckpointError that names the file.
   void expect_rejected(const std::vector<unsigned char>& bytes,
                        const std::string& what) {
-    const std::string scratch =
-        ::testing::TempDir() + "fuzz_ckpt_corrupt.bin";
+    const std::string scratch = process_temp_path("fuzz_ckpt_corrupt.bin");
     write_raw(scratch, bytes);
     try {
       read_checkpoint_payload(scratch);
@@ -212,7 +220,7 @@ TEST_F(CheckpointFuzz, SingleBitFlipsAreRejectedEverywhere) {
 TEST_F(CheckpointFuzz, VersionMismatchNamesTheVersion) {
   std::vector<unsigned char> mutated = *bytes_;
   mutated[8] = 0x7F;  // u32 version little-endian low byte, after the magic
-  const std::string scratch = ::testing::TempDir() + "fuzz_ckpt_version.bin";
+  const std::string scratch = process_temp_path("fuzz_ckpt_version.bin");
   write_raw(scratch, mutated);
   try {
     read_checkpoint_payload(scratch);

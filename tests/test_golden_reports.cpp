@@ -15,6 +15,7 @@
 #include <string>
 
 #include "src/core/policies.hpp"
+#include "src/sim/registries.hpp"
 #include "src/sim/report.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
@@ -51,7 +52,8 @@ std::string golden_path(PolicyKind kind, bool cmesh) {
 // the JSON line, exactly as dozznoc_sim prints them.
 std::string report_for(PolicyKind kind, bool cmesh, bool legacy_kernel) {
   SimSetup setup;
-  setup.cmesh = cmesh;
+  setup.topology = cmesh ? "cmesh" : "mesh";
+  configure_topology(setup.topology, "", &setup.noc);
   setup.duration_cycles = 8000;
   setup.noc.legacy_linear_kernel = legacy_kernel;
   const Trace trace = make_benchmark_trace(setup, "blackscholes");

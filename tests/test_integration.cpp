@@ -5,6 +5,7 @@
 
 #include <map>
 
+#include "src/sim/registries.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/training.hpp"
 #include "src/trafficgen/benchmarks.hpp"
@@ -31,7 +32,8 @@ const Comparison& run_all(const std::string& trace_name, double compression) {
   if (auto it = cache.find(key); it != cache.end()) return it->second;
 
   SimSetup setup;
-  setup.cmesh = false;
+  setup.topology = "mesh";
+  configure_topology(setup.topology, "", &setup.noc);
   setup.duration_cycles = 6000;
   setup.noc.epoch_cycles = 250;
 

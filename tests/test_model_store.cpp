@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "src/sim/model_store.hpp"
+#include "src/sim/registries.hpp"
 #include "src/sim/setup.hpp"
 
 namespace dozz {
@@ -25,7 +26,8 @@ struct CacheDirGuard {
 
 SimSetup tiny_setup() {
   SimSetup setup;
-  setup.cmesh = true;
+  setup.topology = "cmesh";
+  configure_topology(setup.topology, "", &setup.noc);
   setup.duration_cycles = 4000;
   setup.noc.epoch_cycles = 250;
   return setup;
@@ -101,7 +103,7 @@ TEST(SimSetupHelpers, EndTickAndDrainHorizon) {
   EXPECT_EQ(setup.end_tick(), 1000u * kBaselinePeriodTicks);
   EXPECT_EQ(setup.max_drain_tick(), 8u * setup.end_tick());
   EXPECT_EQ(setup.make_topology().num_routers(), 64);
-  setup.cmesh = true;
+  setup.topology = "cmesh";
   EXPECT_EQ(setup.make_topology().num_routers(), 16);
 }
 

@@ -6,6 +6,7 @@
 #include "src/noc/nic.hpp"
 #include "src/power/power_model.hpp"
 #include "src/regulator/simo_ldo.hpp"
+#include "src/topology/routing.hpp"
 
 namespace dozz {
 namespace {
@@ -13,6 +14,7 @@ namespace {
 struct NicFixture {
   Topology topo = make_cmesh(2, 2, 4);  // 4 routers, 4 cores each
   NocConfig config;
+  FlatRouteTable routes{topo, routing_policy(config.routing)};
   PowerModel power;
   SimoLdoRegulator regulator;
   MlOverheadModel ml{5};
@@ -30,7 +32,7 @@ struct NicFixture {
   }
 
   Router make_router() {
-    return Router(0, topo, config, regulator,
+    return Router(0, topo, config, routes, regulator,
                   EnergyAccountant(power, regulator, ml), kTopMode);
   }
 };

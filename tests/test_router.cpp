@@ -5,6 +5,7 @@
 #include "src/noc/router.hpp"
 #include "src/power/power_model.hpp"
 #include "src/regulator/simo_ldo.hpp"
+#include "src/topology/routing.hpp"
 #include "src/topology/topology.hpp"
 
 namespace dozz {
@@ -53,13 +54,14 @@ class RecordingEnv : public RouterEnvironment {
 struct RouterFixture {
   Topology topo = make_mesh(4, 4);
   NocConfig config;
+  FlatRouteTable routes{topo, routing_policy(config.routing)};
   PowerModel power;
   SimoLdoRegulator regulator;
   MlOverheadModel ml{5};
   RecordingEnv env;
 
   Router make(RouterId id = 5, VfMode mode = kTopMode) {
-    return Router(id, topo, config, regulator,
+    return Router(id, topo, config, routes, regulator,
                   EnergyAccountant(power, regulator, ml), mode);
   }
 

@@ -8,6 +8,7 @@
 #include "src/noc/network.hpp"
 #include "src/power/power_model.hpp"
 #include "src/regulator/simo_ldo.hpp"
+#include "src/topology/routing.hpp"
 #include "src/topology/topology.hpp"
 #include "src/trafficgen/patterns.hpp"
 
@@ -15,8 +16,8 @@ namespace dozz {
 namespace {
 
 TEST(RoutingAlgos, Names) {
-  EXPECT_STREQ(routing_name(RoutingAlgorithm::kXY), "XY");
-  EXPECT_STREQ(routing_name(RoutingAlgorithm::kYX), "YX");
+  EXPECT_STREQ(routing_policy(RoutingAlgorithm::kXY).name(), "xy");
+  EXPECT_STREQ(routing_policy(RoutingAlgorithm::kYX).name(), "yx");
 }
 
 TEST(RoutingAlgos, YxResolvesYFirst) {
@@ -31,10 +32,12 @@ TEST(RoutingAlgos, YxResolvesYFirst) {
 
 TEST(RoutingAlgos, DispatchMatchesDirectCalls) {
   const Topology mesh = make_mesh(4, 4);
+  const RoutingPolicy& xy = routing_policy(RoutingAlgorithm::kXY);
+  const RoutingPolicy& yx = routing_policy(RoutingAlgorithm::kYX);
   for (RouterId s = 0; s < mesh.num_routers(); ++s) {
     for (RouterId d = 0; d < mesh.num_routers(); ++d) {
-      EXPECT_EQ(mesh.route(s, d, RoutingAlgorithm::kXY), mesh.route_xy(s, d));
-      EXPECT_EQ(mesh.route(s, d, RoutingAlgorithm::kYX), mesh.route_yx(s, d));
+      EXPECT_EQ(xy.route(mesh, s, d), mesh.route_xy(s, d));
+      EXPECT_EQ(yx.route(mesh, s, d), mesh.route_yx(s, d));
     }
   }
 }
@@ -66,9 +69,10 @@ TEST(RoutingAlgos, XyAndYxDisagreeOffDiagonal) {
   const RouterId src = mesh.router_at(1, 1);
   const RouterId dst = mesh.router_at(4, 6);
   EXPECT_NE(mesh.route_xy(src, dst), mesh.route_yx(src, dst));
-  // next_hop honors the algorithm choice.
-  EXPECT_NE(mesh.next_hop(src, dst, RoutingAlgorithm::kXY),
-            mesh.next_hop(src, dst, RoutingAlgorithm::kYX));
+  // The next-hop tables honor the algorithm choice.
+  const FlatRouteTable xy(mesh, routing_policy(RoutingAlgorithm::kXY));
+  const FlatRouteTable yx(mesh, routing_policy(RoutingAlgorithm::kYX));
+  EXPECT_NE(xy.next_hop(src, dst), yx.next_hop(src, dst));
 }
 
 TEST(RoutingAlgos, NetworkDeliversEverythingUnderYx) {

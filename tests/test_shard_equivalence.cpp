@@ -1,5 +1,6 @@
-// The sharded engine must replay the sequential indexed kernel bit for
-// bit at every thread count: identical metrics (down to RunningStat
+// The sharded engine must replay the sequential indexed kernel — and the
+// legacy linear kernel, which shares none of the event-lane phase code the
+// other two run — bit for bit at every thread count: identical metrics (down to RunningStat
 // internals) and identical epoch logs for every eligible configuration,
 // in fixed-window and run-to-drain modes, on mesh and torus, and across
 // checkpoints taken under one shard count and restored under another.
@@ -12,6 +13,7 @@
 #include <cctype>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/ckpt/checkpoint.hpp"
 #include "src/core/policies.hpp"
@@ -174,11 +176,25 @@ Outcome run_with_shards(const SimSetup& base, PolicyKind kind,
   return {net.metrics(), net.epoch_log(), net.shards_used()};
 }
 
+/// The expected outcomes a sharded run must match: the legacy linear
+/// kernel's run (the independent reference) and the sequential indexed
+/// kernel's.
+std::vector<Outcome> reference_runs(const SimSetup& setup, PolicyKind kind,
+                                    const Trace& trace) {
+  SimSetup legacy = setup;
+  legacy.noc.legacy_linear_kernel = true;
+  std::vector<Outcome> refs;
+  refs.push_back(run_with_shards(legacy, kind, trace, 1));
+  refs.push_back(run_with_shards(setup, kind, trace, 1));
+  for (const Outcome& ref : refs) EXPECT_EQ(ref.shards_used, 1);
+  return refs;
+}
+
 using ShardParam = std::tuple<PolicyKind, Variant>;
 
 class ShardEquivalenceTest : public ::testing::TestWithParam<ShardParam> {};
 
-// Fixed-window runs at 2, 4 and 8 shards against the sequential engine.
+// Fixed-window runs at 2, 4 and 8 shards against the sequential engines.
 // Both policies here have gating off, so the runs must actually engage:
 // a silent fallback would make the comparison pass vacuously, hence the
 // shards_used() assertions.
@@ -186,14 +202,15 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesSequentialBitForBit) {
   const auto [kind, variant] = GetParam();
   const SimSetup setup = make_setup(variant, /*drain=*/false);
   const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
-  const Outcome seq = run_with_shards(setup, kind, trace, 1);
-  EXPECT_EQ(seq.shards_used, 1);
+  const std::vector<Outcome> refs = reference_runs(setup, kind, trace);
   for (int shards : {2, 4, 8}) {
     SCOPED_TRACE(shards);
     const Outcome par = run_with_shards(setup, kind, trace, shards);
     EXPECT_EQ(par.shards_used, shards);
-    expect_metrics_identical(seq.metrics, par.metrics);
-    expect_epoch_logs_identical(seq.epoch_log, par.epoch_log);
+    for (const Outcome& ref : refs) {
+      expect_metrics_identical(ref.metrics, par.metrics);
+      expect_epoch_logs_identical(ref.epoch_log, par.epoch_log);
+    }
   }
 }
 
@@ -204,13 +221,15 @@ TEST_P(ShardEquivalenceTest, ShardedMatchesSequentialRunToDrain) {
   const auto [kind, variant] = GetParam();
   const SimSetup setup = make_setup(variant, /*drain=*/true);
   const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
-  const Outcome seq = run_with_shards(setup, kind, trace, 1);
+  const std::vector<Outcome> refs = reference_runs(setup, kind, trace);
   for (int shards : {2, 8}) {
     SCOPED_TRACE(shards);
     const Outcome par = run_with_shards(setup, kind, trace, shards);
     EXPECT_EQ(par.shards_used, shards);
-    expect_metrics_identical(seq.metrics, par.metrics);
-    expect_epoch_logs_identical(seq.epoch_log, par.epoch_log);
+    for (const Outcome& ref : refs) {
+      expect_metrics_identical(ref.metrics, par.metrics);
+      expect_epoch_logs_identical(ref.epoch_log, par.epoch_log);
+    }
   }
 }
 

@@ -90,9 +90,9 @@ TEST(Topology, XyPathTerminatesWithCorrectHopCount) {
       RouterId cur = src;
       int hops = 0;
       while (cur != dst) {
-        const auto next = mesh.next_hop(cur, dst);
-        ASSERT_TRUE(next.has_value());
-        cur = *next;
+        const auto dir = mesh.route_xy(cur, dst);
+        ASSERT_TRUE(dir.has_value());
+        cur = *mesh.neighbor(cur, *dir);
         ++hops;
         ASSERT_LE(hops, 14);  // max Manhattan distance on 8x8
       }

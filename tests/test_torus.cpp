@@ -7,6 +7,7 @@
 #include "src/noc/network.hpp"
 #include "src/power/power_model.hpp"
 #include "src/regulator/simo_ldo.hpp"
+#include "src/topology/routing.hpp"
 #include "src/topology/topology.hpp"
 #include "src/trafficgen/patterns.hpp"
 
@@ -60,9 +61,9 @@ TEST(Torus, PathsTerminateWithMinimalHops) {
       RouterId cur = src;
       int hops = 0;
       while (cur != dst) {
-        const auto nh = t.next_hop(cur, dst);
-        ASSERT_TRUE(nh.has_value());
-        cur = *nh;
+        const auto dir = t.route_xy(cur, dst);
+        ASSERT_TRUE(dir.has_value());
+        cur = *t.neighbor(cur, *dir);
         ++hops;
         ASSERT_LE(hops, 5);  // max torus distance here is 2+2
       }
@@ -101,7 +102,8 @@ TEST(Torus, RouterRequiresDivisibleVcClasses) {
   PowerModel power;
   SimoLdoRegulator regulator;
   MlOverheadModel ml(5);
-  EXPECT_THROW(Router(0, t, config, regulator,
+  const FlatRouteTable routes(t, routing_policy(config.routing));
+  EXPECT_THROW(Router(0, t, config, routes, regulator,
                       EnergyAccountant(power, regulator, ml), kTopMode),
                PreconditionError);
 }

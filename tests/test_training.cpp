@@ -3,6 +3,7 @@
 // folding, and mode-selection accuracy measurement.
 #include <gtest/gtest.h>
 
+#include "src/sim/registries.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/training.hpp"
 #include "src/trafficgen/benchmarks.hpp"
@@ -12,7 +13,8 @@ namespace {
 
 SimSetup small_setup() {
   SimSetup setup;
-  setup.cmesh = true;  // 4x4 cmesh: 16 routers, fast to simulate
+  setup.topology = "cmesh";  // 4x4 cmesh: 16 routers, fast to simulate
+  configure_topology(setup.topology, "", &setup.noc);
   setup.duration_cycles = 8000;
   setup.noc.epoch_cycles = 250;
   return setup;
