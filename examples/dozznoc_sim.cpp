@@ -62,6 +62,7 @@
 #include <string>
 
 #include "src/common/error.hpp"
+#include "src/common/parse.hpp"
 #include "src/sim/config_file.hpp"
 #include "src/sim/model_store.hpp"
 #include "src/sim/oracle.hpp"
@@ -140,6 +141,7 @@ std::string flag_for_key(const std::string& key) {
       {"noc.epoch_cycles", "--epoch"},
       {"noc.vcs_per_port", "--vcs"},
       {"noc.buffer_depth_flits", "--depth"},
+      {"noc.t_idle_cycles", "--tidle"},
   };
   const auto it = flags.find(key);
   return it == flags.end() ? key : it->second;
@@ -191,8 +193,8 @@ Options parse(int argc, char** argv) {
     else if (a == "--trace") opt.trace_file = need(i);
     else if (a == "--weights") opt.weights_file = need(i);
     else if (a == "--compress") opt.compress = std::strtod(need(i), nullptr);
-    else if (a == "--cycles") opt.cycles = std::strtoull(need(i), nullptr, 10);
-    else if (a == "--epoch") opt.epoch = std::strtoull(need(i), nullptr, 10);
+    else if (a == "--cycles") opt.cycles = parse_unsigned(need(i), a);
+    else if (a == "--epoch") opt.epoch = parse_unsigned(need(i), a);
     else if (a == "--tidle") opt.tidle = std::atoi(need(i));
     else if (a == "--vcs") opt.vcs = std::atoi(need(i));
     else if (a == "--depth") opt.depth = std::atoi(need(i));
@@ -202,11 +204,11 @@ Options parse(int argc, char** argv) {
     else if (a == "--fault-link") opt.fault_link = std::strtod(need(i), nullptr);
     else if (a == "--fault-wake") opt.fault_wake = std::strtod(need(i), nullptr);
     else if (a == "--fault-reg") opt.fault_reg = std::strtod(need(i), nullptr);
-    else if (a == "--fault-seed") opt.fault_seed = std::strtoull(need(i), nullptr, 10);
+    else if (a == "--fault-seed") opt.fault_seed = parse_unsigned(need(i), a);
     else if (a == "--watchdog") opt.watchdog = std::atoi(need(i));
     else if (a == "--checkpoint") opt.checkpoint_file = need(i);
     else if (a == "--checkpoint-interval")
-      opt.checkpoint_interval = std::strtoull(need(i), nullptr, 10);
+      opt.checkpoint_interval = parse_unsigned(need(i), a);
     else if (a == "--resume") opt.resume = true;
     else if (a == "--timeout") opt.timeout_s = std::strtod(need(i), nullptr);
     else if (a == "--shard-threads") opt.shard_threads = std::atoi(need(i));
@@ -227,10 +229,10 @@ Options parse(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse(argc, argv);
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
   try {
+    const Options opt = parse(argc, argv);
     SimSetup setup;
     setup.topology = opt.topology;  // resolved via the topology registry
     setup.duration_cycles = opt.cycles;

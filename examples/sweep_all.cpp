@@ -2,9 +2,13 @@
 // regimes and emits one JSON object per run (JSON-lines), ready for
 // pandas/jq post-processing. The machine-readable twin of Fig. 8.
 //
-// Runs execute on the supervised batch runner (thread count from
-// DOZZ_THREADS or the hardware concurrency); output order and content are
-// identical at any thread count.
+// The whole paper pipeline is one task graph on the supervised batch
+// runner. ML models missing from the weight cache are trained in the same
+// pool as the sweep: each model's gather runs are queued at once, the last
+// to finish fits the model, caches its weights and releases its sweep
+// jobs, while Baseline, PG and cached models run meanwhile. One thread
+// budget sizes it all: --threads, else DOZZ_THREADS, else the core count.
+// Output order and content are identical at any thread count.
 //
 //   sweep_all [options] > results.jsonl
 //     --topology <name>           (mesh|cmesh|torus; default mesh)
@@ -16,7 +20,8 @@
 //     --timeout <seconds>         (wall-clock budget per job attempt)
 //     --retries <n>               (retries per stalled/timed-out job)
 //     --backoff <seconds>         (first retry delay; doubles per retry)
-//     --threads <n>               (worker threads; 0 = default)
+//     --threads <n>               (thread budget, at most 256;
+//                                  0 = DOZZ_THREADS or the core count)
 //
 // SIGINT/SIGTERM stop the sweep gracefully: running jobs finish their
 // current epoch and checkpoint, the manifest records where everything
@@ -29,12 +34,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/parse.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/sim/batch.hpp"
-#include "src/sim/model_store.hpp"
 #include "src/sim/registries.hpp"
 #include "src/sim/report.hpp"
 #include "src/sim/runner.hpp"
@@ -57,42 +62,51 @@ extern "C" void handle_stop_signal(int) { g_stop.store(true); }
   std::exit(2);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+/// Parses the command line; a malformed number throws ConfigError.
+dozz::BatchOptions parse(int argc, char** argv, std::string* topology) {
   using namespace dozz;
-
   BatchOptions batch;
-  std::string topology = "mesh";
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) usage_and_exit();
     return argv[++i];
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--topology") topology = need(i);
+    if (a == "--topology") *topology = need(i);
     else if (a == "--manifest") batch.manifest_path = need(i);
     else if (a == "--resume") batch.resume = true;
     else if (a == "--checkpoint-dir") batch.checkpoint_dir = need(i);
     else if (a == "--checkpoint-interval")
-      batch.checkpoint_interval_epochs = std::strtoull(need(i), nullptr, 10);
+      batch.checkpoint_interval_epochs = parse_unsigned(need(i), a);
     else if (a == "--timeout") batch.job_timeout_s = std::strtod(need(i), nullptr);
     else if (a == "--retries") batch.max_retries = std::atoi(need(i));
     else if (a == "--backoff") batch.retry_backoff_s = std::strtod(need(i), nullptr);
     else if (a == "--threads")
-      batch.threads = static_cast<unsigned>(std::strtoul(need(i), nullptr, 10));
+      batch.threads =
+          static_cast<unsigned>(parse_unsigned(need(i), a, kMaxThreads));
     else usage_and_exit();
   }
   if (batch.resume && batch.manifest_path.empty()) {
     std::fprintf(stderr, "error: --resume needs --manifest <file>\n");
-    return 2;
+    std::exit(2);
   }
-  batch.stop = &g_stop;
+  return batch;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using namespace dozz;
 
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
 
   try {
+    std::string topology = "mesh";
+    BatchOptions batch = parse(argc, argv, &topology);
+    if (batch.threads == 0) batch.threads = default_thread_count();
+    batch.stop = &g_stop;
+
     SimSetup setup;
     setup.topology = topology;
     configure_topology(topology, /*routing_flag=*/"", &setup.noc);
@@ -105,36 +119,27 @@ int main(int argc, char** argv) {
     opts.gather_cycles = setup.duration_cycles;
 
     // The paper's five models, enumerated from the policy registry in
-    // registration order — this order fixes training, the job list, and
-    // therefore the JSON-lines output order.
-    struct PaperModel {
-      PolicyKind kind;
-      std::optional<WeightVector> weights;
-    };
-    std::vector<PaperModel> models;
+    // registration order — this order fixes the job list, and therefore
+    // the JSON-lines output order. The ML models take their weights from
+    // the cache, or are trained inside the sweep's task graph.
+    std::vector<PolicyKind> models;
+    std::vector<TrainingRequest> training;
     for (const auto& [name, spec] : policy_registry()) {
       if (!spec.paper_model) continue;
-      PaperModel model;
-      model.kind = *spec.kind;
+      models.push_back(*spec.kind);
       if (spec.uses_ml) {
         std::fprintf(stderr, "training %s...\n",
-                     policy_name(model.kind).c_str());
-        model.weights = load_or_train(model.kind, setup, opts);
-        if (g_stop.load()) {
-          std::fprintf(stderr, "sweep: stopped during training\n");
-          return 3;
-        }
+                     policy_name(*spec.kind).c_str());
+        training.push_back({*spec.kind, opts});
       }
-      models.push_back(std::move(model));
     }
 
     std::vector<BatchJob> jobs;
     for (double compression : {1.0, kCompressedFactor}) {
       for (const auto& name : test_benchmarks()) {
-        for (const PaperModel& model : models) {
+        for (PolicyKind kind : models) {
           BatchJob job;
-          job.kind = model.kind;
-          job.weights = model.weights;
+          job.kind = kind;
           job.benchmark = name;
           job.compression = compression;
           job.label =
@@ -154,7 +159,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    const BatchResult result = run_batch_supervised(setup, jobs, batch);
+    const BatchResult result =
+        run_batch_supervised(setup, jobs, batch, training);
 
     // One JSON line per finished job, in sweep order. On --resume the
     // previously-done jobs print their stored report lines, so the
@@ -166,9 +172,10 @@ int main(int argc, char** argv) {
 
     std::fprintf(stderr,
                  "sweep: %d completed, %d skipped, %d failed, %d retried, "
+                 "%d training gather runs, "
                  "%llu suppressed worker exceptions%s\n",
                  result.completed, result.skipped, result.failed,
-                 result.retried,
+                 result.retried, result.gathered,
                  static_cast<unsigned long long>(result.suppressed_exceptions),
                  result.stopped ? ", stopped by signal" : "");
     for (const JobRecord& record : result.manifest.jobs)

@@ -1,78 +1,81 @@
-// Minimal work-stealing thread pool for the batch experiment runner.
-//
-// Each worker owns a deque: it pops work from the back of its own deque
-// (LIFO, cache-warm) and steals from the front of a victim's deque (FIFO,
-// oldest-first) when it runs dry. submit() distributes tasks round-robin
-// over the deques, so an experiment grid spreads evenly even before any
-// stealing happens. Tasks must not submit further tasks from inside the
-// pool (the batch runner never does; it submits phases from the caller).
+// Thread pool for the batch experiment runner: one queue, ordered by a
+// priority each task carries (highest first, equal priorities in
+// submission order). A task may submit further tasks, as the batch
+// runner's training graph does; wait_all() waits for those too.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/log.hpp"
+#include "src/common/parse.hpp"
 
 namespace dozz {
 
+/// Largest thread budget (--threads, DOZZ_THREADS), and the most workers a
+/// ThreadPool starts.
+inline constexpr unsigned kMaxThreads = 256;
+
 /// Worker-thread count used when a caller does not specify one: the
-/// DOZZ_THREADS environment variable when set to a positive integer,
-/// otherwise std::thread::hardware_concurrency().
+/// DOZZ_THREADS environment variable when set and nonzero, otherwise the
+/// hardware concurrency (at most kMaxThreads). Throws ConfigError when
+/// DOZZ_THREADS is not an integer from 0 to kMaxThreads.
 inline unsigned default_thread_count() {
   if (const char* env = std::getenv("DOZZ_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
+    const auto parsed = parse_unsigned(env, "DOZZ_THREADS", kMaxThreads);
     if (parsed >= 1) return static_cast<unsigned>(parsed);
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
+  return hw == 0 ? 1 : std::min(hw, kMaxThreads);
 }
 
 class ThreadPool {
  public:
-  explicit ThreadPool(unsigned threads)
-      : queues_(threads == 0 ? 1 : threads) {
-    workers_.reserve(queues_.size());
-    for (unsigned w = 0; w < queues_.size(); ++w)
-      workers_.emplace_back([this, w] { worker_loop(w); });
+  /// Starts `threads` workers (0 starts one). Throws ConfigError above
+  /// kMaxThreads, before any thread starts.
+  explicit ThreadPool(unsigned threads) {
+    if (threads > kMaxThreads)
+      throw ConfigError("thread pool: " + std::to_string(threads) +
+                        " workers requested, at most " +
+                        std::to_string(kMaxThreads));
+    try {
+      for (unsigned w = 0; w < std::max(threads, 1u); ++w)
+        workers_.emplace_back([this] { worker_loop(); });
+    } catch (...) {
+      shut_down();  // a thread failed to start: join the ones that did
+      throw;
+    }
   }
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  ~ThreadPool() {
+  ~ThreadPool() { shut_down(); }
+
+  /// Enqueues a task: a higher `priority` runs sooner, equal priorities in
+  /// submission order. May be called from inside a task.
+  void submit(std::function<void()> task, int priority = 0) {
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      stopping_ = true;
-    }
-    work_ready_.notify_all();
-    for (auto& worker : workers_) worker.join();
-  }
-
-  unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
-  /// Enqueues a task. Safe to call from the owning thread only.
-  void submit(std::function<void()> task) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      queues_[next_queue_].push_back(std::move(task));
-      next_queue_ = (next_queue_ + 1) % queues_.size();
+      queue_.push_back({priority, next_seq_++, std::move(task)});
+      std::push_heap(queue_.begin(), queue_.end(), runs_later);
       ++pending_;
     }
     work_ready_.notify_one();
   }
 
-  /// Blocks until every submitted task has finished. Rethrows the first
-  /// exception any task raised (remaining tasks still run to completion;
-  /// later task exceptions are counted in suppressed_exceptions() and
-  /// logged rather than silently dropped).
+  /// Blocks until every submitted task, including those submitted by tasks,
+  /// has finished. Rethrows the first exception any task raised (remaining
+  /// tasks still run to completion; later task exceptions are counted in
+  /// suppressed_exceptions() and logged rather than silently dropped).
   void wait_all() {
     std::unique_lock<std::mutex> lock(mutex_);
     all_done_.wait(lock, [this] { return pending_ == 0; });
@@ -92,24 +95,37 @@ class ThreadPool {
   }
 
  private:
-  void worker_loop(unsigned self) {
+  struct Entry {
+    int priority;
+    std::uint64_t seq;
+    std::function<void()> task;
+  };
+
+  /// Heap order: the entry to run next compares greatest.
+  static bool runs_later(const Entry& a, const Entry& b) {
+    return a.priority != b.priority ? a.priority < b.priority : a.seq > b.seq;
+  }
+
+  /// Lets the workers drain the queue, then joins them.
+  void shut_down() {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      stopping_ = true;
+    }
+    work_ready_.notify_all();
+    for (auto& worker : workers_) worker.join();
+  }
+
+  void worker_loop() {
     for (;;) {
       std::function<void()> task;
       {
         std::unique_lock<std::mutex> lock(mutex_);
-        work_ready_.wait(lock, [this, self] {
-          return stopping_ || find_work(self) != queues_.size();
-        });
-        if (stopping_ && total_queued() == 0) return;
-        const std::size_t victim = find_work(self);
-        if (victim == queues_.size()) continue;
-        if (victim == self) {
-          task = std::move(queues_[self].back());  // own deque: LIFO
-          queues_[self].pop_back();
-        } else {
-          task = std::move(queues_[victim].front());  // steal: FIFO
-          queues_[victim].pop_front();
-        }
+        work_ready_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+        if (queue_.empty()) return;  // stopping, and nothing left to run
+        std::pop_heap(queue_.begin(), queue_.end(), runs_later);
+        task = std::move(queue_.back().task);
+        queue_.pop_back();
       }
       try {
         task();
@@ -118,11 +134,8 @@ class ThreadPool {
       } catch (...) {
         record_error(std::current_exception(), "<non-std exception>");
       }
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        --pending_;
-        if (pending_ == 0) all_done_.notify_all();
-      }
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (--pending_ == 0) all_done_.notify_all();
     }
   }
 
@@ -140,31 +153,16 @@ class ThreadPool {
     }
   }
 
-  /// Index of a queue with work: own queue first, then victims in order.
-  /// Returns queues_.size() when every queue is empty. Caller holds mutex_.
-  std::size_t find_work(unsigned self) const {
-    if (!queues_[self].empty()) return self;
-    for (std::size_t q = 0; q < queues_.size(); ++q)
-      if (!queues_[q].empty()) return q;
-    return queues_.size();
-  }
-
-  std::size_t total_queued() const {
-    std::size_t total = 0;
-    for (const auto& q : queues_) total += q.size();
-    return total;
-  }
-
-  std::vector<std::deque<std::function<void()>>> queues_;
-  std::vector<std::thread> workers_;
   mutable std::mutex mutex_;
+  std::vector<Entry> queue_;  ///< A heap under runs_later.
   std::condition_variable work_ready_;
   std::condition_variable all_done_;
-  std::size_t next_queue_ = 0;
+  std::uint64_t next_seq_ = 0;
   std::size_t pending_ = 0;
   bool stopping_ = false;
   std::exception_ptr first_error_;
   std::uint64_t suppressed_ = 0;
+  std::vector<std::thread> workers_;  ///< Last: workers use the members above.
 };
 
 }  // namespace dozz

@@ -53,6 +53,10 @@ void validate(const NocConfig& config, const KeyNamer& name) {
            "a multiple of vc_classes = " + std::to_string(config.vc_classes),
            std::to_string(config.vcs_per_port));
   if (config.epoch_cycles < 1) reject("epoch_cycles", "at least 1", "0");
+  // Router::can_gate compares it with an idle-cycle count, so a negative
+  // threshold would silently act as 0.
+  if (config.t_idle_cycles < 0)
+    reject("t_idle_cycles", "at least 0", std::to_string(config.t_idle_cycles));
 }
 
 int resolve_shard_threads(const NocConfig& config) {

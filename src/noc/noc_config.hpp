@@ -97,7 +97,8 @@ int resolve_shard_threads(const NocConfig& config);
 
 /// Throws ConfigError naming the first key of `config` no simulation can
 /// run with: no virtual channels, VC classes that do not divide them, a
-/// zero buffer depth or packet size, or a zero-cycle epoch. The Network
+/// zero buffer depth or packet size, a zero-cycle epoch, or a negative
+/// gating idle threshold. The Network
 /// constructor calls it; keys are the field names ("epoch_cycles").
 void validate(const NocConfig& config, const KeyNamer& name = {});
 

@@ -1,17 +1,18 @@
 // Parallel batch execution of independent simulation runs.
 //
 // A batch is a list of (policy, benchmark, compression) jobs over one
-// SimSetup. run_batch() generates each distinct (benchmark, compression)
-// trace once, shares it read-only across jobs, and runs every job on a
-// work-stealing thread pool with one Network, one policy instance and one
-// regulator per job — no mutable state is shared between concurrent runs,
-// and each run is bit-identical to calling run_policy() serially.
+// SimSetup. run_batch() runs every job as one task of a priority-ordered
+// thread pool; each task generates its own trace and owns its Network,
+// policy instance and regulator — no mutable state is shared between
+// concurrent runs, and each run is bit-identical to calling run_policy()
+// serially.
 //
 // run_batch_supervised() layers sweep supervision on top: per-job
 // wall-clock timeouts, bounded retry from the job's last checkpoint with
 // exponential backoff, cooperative stop, and a persistent JSON-lines
 // manifest so a killed sweep can be resumed without re-running finished
-// jobs.
+// jobs. It can also train the ML models its jobs need in the same pool
+// (the training graph, see run_batch_supervised()).
 //
 // Results come back indexed by submission order regardless of the thread
 // count, so callers that print or append in job order are deterministic.
@@ -27,6 +28,7 @@
 #include "src/core/policies.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
+#include "src/sim/training.hpp"
 
 namespace dozz {
 
@@ -52,6 +54,17 @@ struct BatchJob {
 /// job list produce the same keys, which is what lets --resume match a
 /// manifest against a regenerated job list.
 std::string batch_job_key(const BatchJob& job);
+
+/// The reactive-twin runs that gather a dataset for `kind`: one per
+/// (benchmark, compression factor), benchmarks outer, each collecting its
+/// epoch log. gather_dataset() and the training graph both run this list.
+std::vector<BatchJob> gather_jobs(PolicyKind kind,
+                                  const std::vector<std::string>& benchmarks,
+                                  const TrainingOptions& options);
+
+/// The dataset of finished gather runs: their epoch-log rows, in job order.
+Dataset gathered_dataset(const std::vector<BatchJob>& jobs,
+                         const std::vector<RunOutcome>& outcomes);
 
 /// Runs every job and returns outcomes in submission order. `threads == 0`
 /// uses default_thread_count() (the DOZZ_THREADS environment variable, or
@@ -112,13 +125,36 @@ struct BatchResult {
   std::uint64_t suppressed_exceptions = 0;
   /// True when the stop flag interrupted the sweep.
   bool stopped = false;
+  /// Gather runs the training graph finished in this invocation.
+  int gathered = 0;
+};
+
+/// An ML model whose weights a supervised sweep needs.
+struct TrainingRequest {
+  PolicyKind kind = PolicyKind::kDozzNoc;
+  TrainingOptions options;
 };
 
 /// Runs the sweep under supervision (see BatchOptions). Throws
 /// CheckpointError when `options.resume` is set and the manifest does not
 /// describe this job list.
-BatchResult run_batch_supervised(const SimSetup& setup,
-                                 const std::vector<BatchJob>& jobs,
-                                 const BatchOptions& options);
+///
+/// `training` makes the call one task graph. Each listed kind (listed
+/// once, an ML kind) gives its weights to the sweep's jobs of that kind,
+/// which must carry none. The weights come from the weight cache
+/// (load_cached_weights) when it has them, and those jobs start at once.
+/// Otherwise the kind's gather runs (gather_jobs over the training, then
+/// the validation benchmarks) join the same pool; the run that finishes
+/// last fits the model (fit_and_tune), writes the cache entry and releases
+/// the kind's jobs. Weights and reports equal train_policy_model() followed
+/// by this call with the weights filled in. The queue runs gathers before
+/// sweep jobs, models in policy-registry order, and compressed runs (about
+/// 4x the packets) before uncompressed ones. A gather skipped on stop
+/// leaves the kind's jobs pending; a failed gather or fit marks them
+/// failed.
+BatchResult run_batch_supervised(
+    const SimSetup& setup, const std::vector<BatchJob>& jobs,
+    const BatchOptions& options,
+    const std::vector<TrainingRequest>& training = {});
 
 }  // namespace dozz

@@ -5,6 +5,7 @@
 #include <istream>
 
 #include "src/common/error.hpp"
+#include "src/common/parse.hpp"
 
 namespace dozz {
 
@@ -69,12 +70,7 @@ std::uint64_t config_get_u64(const ConfigMap& config, const std::string& key,
                              std::uint64_t fallback) {
   const auto it = config.find(key);
   if (it == config.end()) return fallback;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end == it->second.c_str())
-    throw InputError("config key '" + key + "' is not an integer: " +
-                     it->second);
-  return v;
+  return parse_unsigned(it->second, "config key '" + key + "'");
 }
 
 bool config_get_bool(const ConfigMap& config, const std::string& key,

@@ -28,7 +28,8 @@ ConfigMap parse_config(std::istream& in,
 /// 1-based line number.
 ConfigMap load_config_file(const std::string& path);
 
-/// Typed lookup helpers with defaults.
+/// Typed lookup helpers with defaults. config_get_u64 takes a plain decimal
+/// number: a sign or trailing text is a ConfigError naming the key.
 std::string config_get(const ConfigMap& config, const std::string& key,
                        const std::string& fallback);
 double config_get_double(const ConfigMap& config, const std::string& key,

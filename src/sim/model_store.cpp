@@ -31,38 +31,45 @@ std::string model_cache_path(PolicyKind kind, const SimSetup& setup,
   return model_cache_dir() + "/" + name.str();
 }
 
-WeightVector load_or_train(PolicyKind kind, const SimSetup& setup,
-                           const TrainingOptions& options) {
+std::optional<WeightVector> load_cached_weights(PolicyKind kind,
+                                                const SimSetup& setup,
+                                                const TrainingOptions& options) {
+  if (std::getenv("DOZZ_NO_CACHE") != nullptr) return std::nullopt;
   const std::string path = model_cache_path(kind, setup, options);
-  const bool no_cache = std::getenv("DOZZ_NO_CACHE") != nullptr;
-  if (!no_cache) {
-    std::ifstream in(path);
-    if (in) {
-      try {
-        WeightVector w = WeightVector::load(in, path);
-        DOZZ_LOG_INFO("loaded cached weights from " << path);
-        return w;
-      } catch (const InputError& e) {
-        // Corrupt cache entry: fall through and retrain (but say why, with
-        // the offending path, so a bad cache is discoverable).
-        DOZZ_LOG_INFO("ignoring corrupt weight cache: " << e.what());
-      }
-    }
+  std::ifstream in(path);
+  if (!in) return std::nullopt;
+  try {
+    WeightVector w = WeightVector::load(in, path);
+    DOZZ_LOG_INFO("loaded cached weights from " << path);
+    return w;
+  } catch (const InputError& e) {
+    // Corrupt cache entry: the caller retrains (but say why, with the
+    // offending path, so a bad cache is discoverable).
+    DOZZ_LOG_INFO("ignoring corrupt weight cache: " << e.what());
+    return std::nullopt;
   }
-  const TrainedModel model = train_policy_model(kind, setup, options);
+}
+
+void store_cached_weights(PolicyKind kind, const SimSetup& setup,
+                          const TrainingOptions& options,
+                          const WeightVector& weights) {
   std::error_code ec;
   std::filesystem::create_directories(model_cache_dir(), ec);
-  if (!ec) {
-    // Atomic write: a concurrent sweep reading the cache sees either no
-    // entry or a complete one, never a half-written weight file.
-    std::ostringstream out;
-    model.weights.save(out);
-    try {
-      atomic_write_file(path, out.str());
-    } catch (const InputError& e) {
-      DOZZ_LOG_INFO("could not persist weight cache: " << e.what());
-    }
+  if (ec) return;
+  std::ostringstream out;
+  weights.save(out);
+  try {
+    atomic_write_file(model_cache_path(kind, setup, options), out.str());
+  } catch (const InputError& e) {
+    DOZZ_LOG_INFO("could not persist weight cache: " << e.what());
   }
+}
+
+WeightVector load_or_train(PolicyKind kind, const SimSetup& setup,
+                           const TrainingOptions& options) {
+  if (auto cached = load_cached_weights(kind, setup, options)) return *cached;
+  const TrainedModel model = train_policy_model(kind, setup, options);
+  store_cached_weights(kind, setup, options, model.weights);
   return model.weights;
 }
 

@@ -10,71 +10,38 @@
 
 namespace dozz {
 
+SimSetup gather_setup(const SimSetup& setup, const TrainingOptions& options) {
+  SimSetup gather = setup;
+  if (options.gather_cycles > 0) gather.duration_cycles = options.gather_cycles;
+  return gather;
+}
+
 Dataset gather_dataset(PolicyKind kind, const SimSetup& setup,
                        const std::vector<std::string>& benchmarks,
                        const TrainingOptions& options) {
   DOZZ_REQUIRE(policy_uses_ml(kind));
-  SimSetup gather_setup = setup;
-  if (options.gather_cycles > 0)
-    gather_setup.duration_cycles = options.gather_cycles;
-
-  Dataset data(EpochFeatures::names());
-  std::vector<BatchJob> jobs;
-  for (const auto& name : benchmarks) {
-    for (double compression : options.compressions) {
-      BatchJob job;
-      job.kind = kind;
-      job.benchmark = name;
-      job.compression = compression;
-      job.collect_epoch_log = true;
-      job.reactive_twin = true;
-      jobs.push_back(std::move(job));
-    }
-  }
-  // run_batch returns outcomes in submission order, so the dataset rows
-  // append in the same (benchmark, compression) order as the old serial
-  // loop.
-  const std::vector<RunOutcome> outcomes = run_batch(gather_setup, jobs);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    data.append(dataset_from_log(outcomes[i].epoch_log));
-    DOZZ_LOG_INFO("gathered " << jobs[i].benchmark << " x"
-                              << jobs[i].compression << " -> " << data.size()
-                              << " examples");
-  }
-  return data;
+  const std::vector<BatchJob> jobs = gather_jobs(kind, benchmarks, options);
+  return gathered_dataset(jobs,
+                          run_batch(gather_setup(setup, options), jobs));
 }
 
 Dataset gather_extended_dataset(PolicyKind kind, const SimSetup& setup,
                                 const std::vector<std::string>& benchmarks,
                                 const TrainingOptions& options) {
   DOZZ_REQUIRE(policy_uses_ml(kind));
-  SimSetup gather_setup = setup;
-  if (options.gather_cycles > 0)
-    gather_setup.duration_cycles = options.gather_cycles;
-
-  const Topology topo = gather_setup.make_topology();
-  Dataset data(extended_feature_names(topo.ports_per_router()));
-  std::vector<BatchJob> jobs;
-  for (const auto& name : benchmarks) {
-    for (double compression : options.compressions) {
-      BatchJob job;
-      job.kind = kind;
-      job.benchmark = name;
-      job.compression = compression;
-      job.collect_extended_log = true;
-      job.reactive_twin = true;
-      jobs.push_back(std::move(job));
-    }
+  const SimSetup gather = gather_setup(setup, options);
+  const int ports = gather.make_topology().ports_per_router();
+  std::vector<BatchJob> jobs = gather_jobs(kind, benchmarks, options);
+  for (BatchJob& job : jobs) {
+    job.collect_epoch_log = false;
+    job.collect_extended_log = true;
   }
-  for (const RunOutcome& outcome : run_batch(gather_setup, jobs))
-    data.append(dataset_from_extended_log(outcome.extended_log,
-                                          topo.ports_per_router()));
+  Dataset data(extended_feature_names(ports));
+  for (const RunOutcome& outcome : run_batch(gather, jobs))
+    data.append(dataset_from_extended_log(outcome.extended_log, ports));
   return data;
 }
 
-namespace {
-
-/// Shared fit/tune/fold tail of both training pipelines.
 TrainedModel fit_and_tune(PolicyKind kind, const Dataset& train_raw,
                           const Dataset& val_raw,
                           const std::vector<double>& lambda_grid) {
@@ -100,8 +67,6 @@ TrainedModel fit_and_tune(PolicyKind kind, const Dataset& train_raw,
                            << " val_r2=" << model.validation_r2);
   return model;
 }
-
-}  // namespace
 
 TrainedModel train_policy_model(PolicyKind kind, const SimSetup& setup,
                                 const TrainingOptions& options) {

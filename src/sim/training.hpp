@@ -43,8 +43,12 @@ struct TrainedModel {
   std::size_t validation_examples = 0;
 };
 
+/// The setup of a data-gathering run: `setup`, lasting options.gather_cycles
+/// when that is set.
+SimSetup gather_setup(const SimSetup& setup, const TrainingOptions& options);
+
 /// Gathers a dataset for `kind` by running its reactive twin over the given
-/// benchmarks at each compression factor.
+/// benchmarks at each compression factor (the runs of gather_jobs()).
 Dataset gather_dataset(PolicyKind kind, const SimSetup& setup,
                        const std::vector<std::string>& benchmarks,
                        const TrainingOptions& options);
@@ -54,6 +58,13 @@ Dataset gather_dataset(PolicyKind kind, const SimSetup& setup,
 Dataset gather_extended_dataset(PolicyKind kind, const SimSetup& setup,
                                 const std::vector<std::string>& benchmarks,
                                 const TrainingOptions& options);
+
+/// The tail of both training pipelines: standardize on `train_raw`, fit
+/// ridge regression for each lambda of `lambda_grid`, keep the one with the
+/// lowest validation MSE and fold the standardization into its weights.
+TrainedModel fit_and_tune(PolicyKind kind, const Dataset& train_raw,
+                          const Dataset& val_raw,
+                          const std::vector<double>& lambda_grid);
 
 /// Full training pipeline over the extended feature set; the resulting
 /// weights deploy via ProactiveExtendedMlPolicy.

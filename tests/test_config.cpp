@@ -57,6 +57,10 @@ TEST(ConfigFile, RejectsMalformedInput) {
   EXPECT_THROW(config_get_double(c, "x", 0.0), InputError);
   EXPECT_THROW(config_get_u64(c, "x", 0), InputError);
   EXPECT_THROW(config_get_bool(c, "x", false), InputError);
+
+  // A negative count is rejected, not wrapped around.
+  std::stringstream negative("n = -5\n");
+  EXPECT_THROW(config_get_u64(parse_config(negative), "n", 0), ConfigError);
 }
 
 TEST(ConfigFile, MissingFileThrows) {

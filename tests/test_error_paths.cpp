@@ -1,7 +1,8 @@
 // Error-path hardening: loaders must fail with typed exceptions that name
 // the offending file and position, run parameters no simulation can use
-// must fail with a ConfigError naming the key, and the thread pool must
-// account for every task exception (not just the one wait_all rethrows).
+// must fail with a ConfigError naming the key (numeric flags echo the
+// value as typed), and the thread pool must account for every task
+// exception (not just the one wait_all rethrows).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/parse.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/core/policies.hpp"
 #include "src/ml/ridge.hpp"
@@ -198,6 +200,34 @@ TEST(RunParameters, NegativeCyclesIsAConfigError) {
   expect_config_error([&] { validate(setup); }, "duration_cycles");
   setup.duration_cycles = 0;
   expect_config_error([&] { validate(setup); }, "duration_cycles");
+}
+
+TEST(RunParameters, NegativeIdleThresholdIsAConfigError) {
+  SimSetup setup;
+  setup.noc.t_idle_cycles = -3;
+  expect_config_error([&] { validate(setup); }, "noc.t_idle_cycles");
+  expect_config_error([&] { build_network(setup.noc); }, "t_idle_cycles");
+  setup.noc.t_idle_cycles = 0;
+  EXPECT_NO_THROW(validate(setup));
+}
+
+TEST(RunParameters, UnsignedValuesAreCheckedAndEchoedAsTyped) {
+  EXPECT_EQ(parse_unsigned("0", "--cycles"), 0u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615", "--cycles"),
+            18446744073709551615u);
+  EXPECT_EQ(parse_unsigned("7", "--threads", 7), 7u);
+  for (const std::string bad :
+       {"-5", "+5", "5x", "", " 5", "0x10", "1e3", "18446744073709551616"}) {
+    try {
+      parse_unsigned(bad, "--cycles");
+      ADD_FAILURE() << "accepted \"" << bad << "\"";
+    } catch (const ConfigError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "--cycles must be a non-negative integer (got " + bad + ")");
+    }
+  }
+  expect_config_error([] { parse_unsigned("8", "--threads", 7); },
+                      "--threads");
 }
 
 TEST(RunParameters, ZeroCompressionIsAConfigError) {
