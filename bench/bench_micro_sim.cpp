@@ -55,15 +55,13 @@ struct SteadyAllocWindow {
   std::uint64_t events() const { return end_events - start_events; }
 };
 
-/// Shared body of the mesh stepping benchmarks: `legacy` selects the
-/// retired linear-scan kernel so its throughput can be compared against
-/// the indexed event schedule on identical runs. Reports kernel events
-/// and router edge steps per second next to wall-clock time.
-void run_mesh_step(benchmark::State& state, bool legacy) {
+/// Uniform traffic on the 8x8 mesh, each core injecting with probability
+/// state.range(0) / 1000 per cycle. Reports kernel events and router edge
+/// steps per second next to wall-clock time.
+void BM_NetworkStep_Mesh8x8(benchmark::State& state) {
   const Topology topo = make_mesh();
   NocConfig config;
   config.auto_response = false;
-  config.legacy_linear_kernel = legacy;
   PowerModel power;
   SimoLdoRegulator regulator;
   const double rate = static_cast<double>(state.range(0)) / 1000.0;
@@ -102,23 +100,13 @@ void run_mesh_step(benchmark::State& state, bool legacy) {
                                static_cast<double>(steady_events);
 }
 
-void BM_NetworkStep_Mesh8x8(benchmark::State& state) {
-  run_mesh_step(state, /*legacy=*/false);
-}
 BENCHMARK(BM_NetworkStep_Mesh8x8)->Arg(5)->Arg(20)->Arg(50)
     ->Unit(benchmark::kMillisecond);
 
-void BM_NetworkStep_Mesh8x8_LegacyKernel(benchmark::State& state) {
-  run_mesh_step(state, /*legacy=*/true);
-}
-BENCHMARK(BM_NetworkStep_Mesh8x8_LegacyKernel)->Arg(5)->Arg(20)->Arg(50)
-    ->Unit(benchmark::kMillisecond);
-
-void run_power_gated_step(benchmark::State& state, bool legacy) {
+void BM_NetworkStep_PowerGated(benchmark::State& state) {
   const Topology topo = make_mesh();
   NocConfig config;
   config.auto_response = false;
-  config.legacy_linear_kernel = legacy;
   PowerModel power;
   SimoLdoRegulator regulator;
   const std::uint64_t cycles = 2000;
@@ -153,16 +141,7 @@ void run_power_gated_step(benchmark::State& state, bool legacy) {
                                static_cast<double>(steady_events);
 }
 
-void BM_NetworkStep_PowerGated(benchmark::State& state) {
-  run_power_gated_step(state, /*legacy=*/false);
-}
 BENCHMARK(BM_NetworkStep_PowerGated)->Unit(benchmark::kMillisecond);
-
-void BM_NetworkStep_PowerGated_LegacyKernel(benchmark::State& state) {
-  run_power_gated_step(state, /*legacy=*/true);
-}
-BENCHMARK(BM_NetworkStep_PowerGated_LegacyKernel)
-    ->Unit(benchmark::kMillisecond);
 
 /// Thread-scaling sweep of the sharded single-run engine (DESIGN.md §11):
 /// one loaded 16x16 mesh stepped under 1/2/4/8 shards. edge_steps/s is the

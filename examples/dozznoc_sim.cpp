@@ -63,6 +63,7 @@
 
 #include "src/common/error.hpp"
 #include "src/common/parse.hpp"
+#include "src/common/thread_pool.hpp"
 #include "src/sim/config_file.hpp"
 #include "src/sim/model_store.hpp"
 #include "src/sim/oracle.hpp"
@@ -161,9 +162,9 @@ void apply_config(const std::string& path, Options* opt) {
     else if (key == "compress") opt->compress = config_get_double(c, key, 1.0);
     else if (key == "cycles") opt->cycles = config_get_u64(c, key, 16000);
     else if (key == "epoch") opt->epoch = config_get_u64(c, key, 500);
-    else if (key == "tidle") opt->tidle = static_cast<int>(config_get_u64(c, key, 4));
-    else if (key == "vcs") opt->vcs = static_cast<int>(config_get_u64(c, key, 2));
-    else if (key == "depth") opt->depth = static_cast<int>(config_get_u64(c, key, 4));
+    else if (key == "tidle") opt->tidle = config_get_int(c, key, 4);
+    else if (key == "vcs") opt->vcs = config_get_int(c, key, 2);
+    else if (key == "depth") opt->depth = config_get_int(c, key, 4);
     else if (key == "routing") opt->routing = value;
     else if (key == "baseline") opt->with_baseline = config_get_bool(c, key, false);
     else if (key == "json") opt->json = config_get_bool(c, key, false);
@@ -171,8 +172,10 @@ void apply_config(const std::string& path, Options* opt) {
     else if (key == "fault_wake") opt->fault_wake = config_get_double(c, key, 0.0);
     else if (key == "fault_reg") opt->fault_reg = config_get_double(c, key, 0.0);
     else if (key == "fault_seed") opt->fault_seed = config_get_u64(c, key, 0);
-    else if (key == "watchdog") opt->watchdog = static_cast<int>(config_get_double(c, key, 0.0));
-    else if (key == "shard_threads") opt->shard_threads = static_cast<int>(config_get_u64(c, key, 0));
+    else if (key == "watchdog") opt->watchdog = config_get_int(c, key, 0);
+    else if (key == "shard_threads")
+      opt->shard_threads =
+          config_get_int(c, key, 0, 0, static_cast<int>(kMaxThreads));
     else throw InputError("unknown config key: " + key);
   }
 }
@@ -192,26 +195,28 @@ Options parse(int argc, char** argv) {
     else if (a == "--fullsystem") opt.fullsystem = need(i);
     else if (a == "--trace") opt.trace_file = need(i);
     else if (a == "--weights") opt.weights_file = need(i);
-    else if (a == "--compress") opt.compress = std::strtod(need(i), nullptr);
+    else if (a == "--compress") opt.compress = parse_double(need(i), a);
     else if (a == "--cycles") opt.cycles = parse_unsigned(need(i), a);
     else if (a == "--epoch") opt.epoch = parse_unsigned(need(i), a);
-    else if (a == "--tidle") opt.tidle = std::atoi(need(i));
-    else if (a == "--vcs") opt.vcs = std::atoi(need(i));
-    else if (a == "--depth") opt.depth = std::atoi(need(i));
+    else if (a == "--tidle") opt.tidle = parse_signed(need(i), a);
+    else if (a == "--vcs") opt.vcs = parse_signed(need(i), a);
+    else if (a == "--depth") opt.depth = parse_signed(need(i), a);
     else if (a == "--routing") opt.routing = need(i);
     else if (a == "--baseline") opt.with_baseline = true;
     else if (a == "--json") opt.json = true;
-    else if (a == "--fault-link") opt.fault_link = std::strtod(need(i), nullptr);
-    else if (a == "--fault-wake") opt.fault_wake = std::strtod(need(i), nullptr);
-    else if (a == "--fault-reg") opt.fault_reg = std::strtod(need(i), nullptr);
+    else if (a == "--fault-link") opt.fault_link = parse_double(need(i), a);
+    else if (a == "--fault-wake") opt.fault_wake = parse_double(need(i), a);
+    else if (a == "--fault-reg") opt.fault_reg = parse_double(need(i), a);
     else if (a == "--fault-seed") opt.fault_seed = parse_unsigned(need(i), a);
-    else if (a == "--watchdog") opt.watchdog = std::atoi(need(i));
+    else if (a == "--watchdog") opt.watchdog = parse_signed(need(i), a);
     else if (a == "--checkpoint") opt.checkpoint_file = need(i);
     else if (a == "--checkpoint-interval")
       opt.checkpoint_interval = parse_unsigned(need(i), a);
     else if (a == "--resume") opt.resume = true;
-    else if (a == "--timeout") opt.timeout_s = std::strtod(need(i), nullptr);
-    else if (a == "--shard-threads") opt.shard_threads = std::atoi(need(i));
+    else if (a == "--timeout") opt.timeout_s = parse_double(need(i), a, 0.0);
+    else if (a == "--shard-threads")
+      opt.shard_threads =
+          parse_signed(need(i), a, 0, static_cast<int>(kMaxThreads));
     else if (a == "--list-policies") list_and_exit(policy_registry());
     else if (a == "--list-topologies") list_and_exit(topology_registry());
     else if (a == "--list-traffic") list_and_exit(traffic_registry());

@@ -78,9 +78,9 @@ dozz::BatchOptions parse(int argc, char** argv, std::string* topology) {
     else if (a == "--checkpoint-dir") batch.checkpoint_dir = need(i);
     else if (a == "--checkpoint-interval")
       batch.checkpoint_interval_epochs = parse_unsigned(need(i), a);
-    else if (a == "--timeout") batch.job_timeout_s = std::strtod(need(i), nullptr);
-    else if (a == "--retries") batch.max_retries = std::atoi(need(i));
-    else if (a == "--backoff") batch.retry_backoff_s = std::strtod(need(i), nullptr);
+    else if (a == "--timeout") batch.job_timeout_s = parse_double(need(i), a, 0.0);
+    else if (a == "--retries") batch.max_retries = parse_signed(need(i), a, 0);
+    else if (a == "--backoff") batch.retry_backoff_s = parse_double(need(i), a, 0.0);
     else if (a == "--threads")
       batch.threads =
           static_cast<unsigned>(parse_unsigned(need(i), a, kMaxThreads));

@@ -1,8 +1,11 @@
-// The engine loop: both sequential event kernels (legacy linear scan and
-// the indexed kernel over one event lane), the lane plan shared with the
-// sharded engine, and the run_loop driver that wires resume validation,
-// epoch scheduling and final metrics compilation around them. The
-// per-event phases they invoke live in phases.cpp and epoch_phase.cpp.
+// The engine loop: the sequential indexed kernel over one event lane, the
+// lane plan shared with the sharded engine, and the run_loop driver that
+// picks between the two engines. begin_run and finish_run wrap every
+// driver (run_loop here; the linear-scan reference kernel the equivalence
+// tests run, tests/linear_kernel.cpp): resume validation, loop state and
+// log reservations before the kernel, metrics compilation after it. The
+// per-event phases the kernels invoke live in phases.cpp and
+// epoch_phase.cpp.
 #include <algorithm>
 
 #include "src/ckpt/state_io.hpp"
@@ -12,14 +15,7 @@
 
 namespace dozz {
 
-Tick Network::next_event_after(Tick trace_next) const {
-  Tick t = trace_next;
-  for (const auto& r : routers_) t = std::min(t, r.next_edge());
-  for (const auto& n : nics_) t = std::min(t, n.next_response_tick());
-  return t;
-}
-
-void Network::run_loop(const Trace& trace, Tick end_tick, bool drain) {
+void Network::begin_run(const Trace& trace, Tick end_tick, bool drain) {
   DOZZ_REQUIRE(!ran_);
   DOZZ_REQUIRE(end_tick > 0);
   ran_ = true;
@@ -59,90 +55,24 @@ void Network::run_loop(const Trace& trace, Tick end_tick, bool drain) {
       end_tick / ctx_.config.epoch_ticks() + 1);
   if (ctx_.config.collect_epoch_log) epoch_log_.reserve(epochs);
   if (ctx_.config.collect_extended_log) extended_log_.reserve(epochs);
+}
 
-  const int shards = plan_shard_count();
-  shards_used_ = shards;
-  shard_stall_frac_ = 0.0;
-  const Tick last_event =
-      ctx_.config.legacy_linear_kernel
-          ? run_loop_linear(trace, end_tick, drain)
-          : (shards > 1 ? run_loop_sharded(trace, end_tick, drain, shards)
-                        : run_loop_indexed(trace, end_tick, drain));
-
+void Network::finish_run(Tick last_event) {
   // In drain mode the run's duration is the time of the last event (the
   // final delivery); in window mode it is the fixed horizon. An interrupted
   // run compiles a *partial* report up to the stopping boundary — a resume
   // restores the pre-compile checkpoint, so this accounting is discarded.
-  compile_metrics(interrupted_ || drain ? std::max<Tick>(last_event, 1)
-                                        : end_tick);
+  compile_metrics(interrupted_ || run_drain_ ? std::max<Tick>(last_event, 1)
+                                             : run_end_tick_);
 }
 
-Tick Network::run_loop_linear(const Trace& trace, Tick end_tick, bool drain) {
-  const auto& entries = trace.entries();
-  // Loop-invariant policy/config lookups, hoisted out of the hot loops.
-  const bool gating = ctx_.policy->gating_enabled();
-  const bool punch = ctx_.config.lookahead_punch;
-
-  auto drained = [&]() {
-    if (trace_cursor_ < entries.size()) return false;
-    if (ctx_.metrics.packets_delivered + terminal_failures() !=
-        ctx_.metrics.packets_offered)
-      return false;
-    for (const auto& n : nics_)
-      if (n.has_backlog() || n.next_response_tick() != kInfTick) return false;
-    return true;
-  };
-
-  while (true) {
-    if (drain && drained()) break;
-    const Tick trace_next = trace_cursor_ < entries.size()
-                                ? entries[trace_cursor_].inject_tick()
-                                : kInfTick;
-    Tick t = std::min(next_event_after(trace_next), next_epoch_);
-    if (t >= end_tick) break;
-    DOZZ_ASSERT(t >= ctx_.now);
-    ctx_.now = t;
-    last_event_ = t;
-    ++kernel_events_;
-
-    // 1. Matured trace entries become pending packets at their source NI.
-    inject_matured(entries, trace_cursor_, gating, punch);
-
-    // 2. Matured responses.
-    std::uint64_t matured = 0;
-    for (auto& n : nics_) {
-      if (n.next_response_tick() > ctx_.now) continue;
-      matured += static_cast<std::uint64_t>(
-          mature_nic(n, ctx_.now, gating, punch));
-    }
-    pending_responses_ -= matured;
-    ctx_.metrics.packets_offered += matured;
-
-    // 3. Epoch boundary: feature capture and DVFS mode selection.
-    bool at_epoch = false;
-    if (ctx_.now == next_epoch_) {
-      process_epoch(ctx_.now);
-      next_epoch_ += ctx_.config.epoch_ticks();
-      at_epoch = true;
-    }
-
-    // 4. Clock edges, in router-id order for determinism.
-    for (std::size_t i = 0; i < routers_.size(); ++i) {
-      if (routers_[i].next_edge() > ctx_.now) continue;
-      step_router(static_cast<RouterId>(i), *this, ctx_.now, gating);
-      ++edge_steps_;
-    }
-
-    // Epoch hook, fired only after the boundary iteration completed its
-    // clock edges: a checkpoint taken here resumes at the *next* kernel
-    // event, so the resumed run re-counts nothing (bit-identity).
-    if (at_epoch && ctx_.epoch_hook &&
-        !ctx_.epoch_hook(*this, ctx_.now, epochs_processed_)) {
-      interrupted_ = true;
-      break;
-    }
-  }
-  return last_event_;
+void Network::run_loop(const Trace& trace, Tick end_tick, bool drain) {
+  begin_run(trace, end_tick, drain);
+  const int shards = plan_shard_count();
+  shards_used_ = shards;
+  shard_stall_frac_ = 0.0;
+  finish_run(shards > 1 ? run_loop_sharded(trace, end_tick, drain, shards)
+                        : run_loop_indexed(trace, end_tick, drain));
 }
 
 void Network::split_lanes(int shards) {
@@ -192,7 +122,7 @@ Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
     // 1. Matured trace entries become pending packets at their source NI.
     inject_matured(entries, trace_cursor_, gating, punch);
 
-    // 2. Matured responses, in NIC-id order (matches the linear sweep).
+    // 2. Matured responses, in NIC-id order.
     const std::uint64_t matured = mature_due(lane, ctx_.now, gating, punch);
     pending_responses_ -= matured;
     ctx_.metrics.packets_offered += matured;
@@ -211,8 +141,9 @@ Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
     // 4. Clock edges due now, in router-id order for determinism.
     edge_steps_ += step_due(lane, *this, ctx_.now, gating);
 
-    // Epoch hook, after the boundary iteration's clock edges (see the
-    // linear kernel for why this placement preserves bit-identity).
+    // Epoch hook, fired only after the boundary iteration completed its
+    // clock edges: a checkpoint taken here resumes at the *next* kernel
+    // event, so the resumed run re-counts nothing (bit-identity).
     if (at_epoch && ctx_.epoch_hook &&
         !ctx_.epoch_hook(*this, ctx_.now, epochs_processed_)) {
       interrupted_ = true;

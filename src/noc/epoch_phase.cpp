@@ -154,7 +154,7 @@ void Network::process_epoch(Tick now) {
       }
       // A droop or mode change can move this router's next edge (a new,
       // possibly shorter period counts from now); republish it to its lane.
-      if (indexed_) schedule_edge(r.id());
+      schedule_edge(r.id());
       // Repeated regulator faults (failed switches, droops) pin the domain
       // to the nominal point: every future select_mode resolves through
       // PowerController::resolve_degraded to kNominalMode.

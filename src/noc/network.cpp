@@ -11,20 +11,23 @@
 #include <utility>
 
 #include "src/common/error.hpp"
+#include "src/common/parse.hpp"
+#include "src/common/thread_pool.hpp"
 
 namespace dozz {
 
 namespace {
 
 /// Resolves the effective watchdog threshold: an explicit config value
-/// wins; 0 defers to DOZZ_WATCHDOG_EPOCHS, then to a 64-epoch default when
-/// fault injection is on (a faulty run must terminate, never hang); -1 (or
-/// any negative) disables.
+/// wins; 0 defers to a positive DOZZ_WATCHDOG_EPOCHS, then to a 64-epoch
+/// default when fault injection is on (a faulty run must terminate, never
+/// hang); -1 (or any negative) disables. A DOZZ_WATCHDOG_EPOCHS that is not
+/// an integer is a ConfigError.
 int resolve_watchdog_epochs(const NocConfig& config) {
   if (config.watchdog_epochs > 0) return config.watchdog_epochs;
   if (config.watchdog_epochs < 0) return 0;
   if (const char* env = std::getenv("DOZZ_WATCHDOG_EPOCHS")) {
-    const int n = std::atoi(env);
+    const int n = parse_signed(env, "DOZZ_WATCHDOG_EPOCHS");
     if (n > 0) return n;
   }
   return config.faults.enabled ? 64 : 0;
@@ -32,7 +35,8 @@ int resolve_watchdog_epochs(const NocConfig& config) {
 
 }  // namespace
 
-void validate(const NocConfig& config, const KeyNamer& name) {
+void validate(const NocConfig& config, const Topology& topo,
+              const KeyNamer& name) {
   const auto reject = [&name](const std::string& key, const std::string& rule,
                               const std::string& got) {
     throw ConfigError((name ? name(key) : key) + " must be " + rule +
@@ -52,6 +56,12 @@ void validate(const NocConfig& config, const KeyNamer& name) {
     reject("vcs_per_port",
            "a multiple of vc_classes = " + std::to_string(config.vc_classes),
            std::to_string(config.vcs_per_port));
+  const int ports = topo.ports_per_router();
+  if (config.vcs_per_port > kMaxRouterSlots / ports)
+    reject("vcs_per_port",
+           "at most " + std::to_string(kMaxRouterSlots / ports) + " with " +
+               std::to_string(ports) + " ports per router",
+           std::to_string(config.vcs_per_port));
   if (config.epoch_cycles < 1) reject("epoch_cycles", "at least 1", "0");
   // Router::can_gate compares it with an idle-cycle count, so a negative
   // threshold would silently act as 0.
@@ -62,7 +72,8 @@ void validate(const NocConfig& config, const KeyNamer& name) {
 int resolve_shard_threads(const NocConfig& config) {
   if (config.shard_threads > 0) return config.shard_threads;
   if (const char* env = std::getenv("DOZZ_SHARD_THREADS")) {
-    const int n = std::atoi(env);
+    const int n = parse_signed(env, "DOZZ_SHARD_THREADS", 0,
+                               static_cast<int>(kMaxThreads));
     if (n > 0) return n;
   }
   return 1;
@@ -78,7 +89,6 @@ int Network::plan_shard_count() const {
   // deferrable by the lookahead window (DESIGN.md §11). Everything else
   // falls back to the sequential engine rather than approximating.
   const NocConfig& c = ctx_.config;
-  if (c.legacy_linear_kernel) return 1;
   // Gating couples shards at zero lookahead: a wake request must take
   // effect at the requesting tick, and gate/wake decisions read remote
   // router state mid-window.
@@ -105,9 +115,8 @@ int Network::plan_shard_count() const {
 Network::Network(const Topology& topo, const NocConfig& config,
                  PowerController& policy, const PowerModel& power,
                  const SimoLdoRegulator& regulator)
-    : ctx_(topo, config, policy, power, regulator),
-      indexed_(!config.legacy_linear_kernel) {
-  validate(config);
+    : ctx_(topo, config, policy, power, regulator) {
+  validate(config, topo);
   const int n = topo.num_routers();
   routers_.reserve(static_cast<std::size_t>(n));
   nics_.reserve(static_cast<std::size_t>(n));

@@ -167,7 +167,7 @@ class Network final : public RouterEnvironment {
   /// run_until_drained() call continues from the checkpointed epoch and
   /// must be given the same trace, horizon and drain mode (validated, with
   /// typed CheckpointError on mismatch). The continuation is bit-identical
-  /// to the uninterrupted run, in either kernel.
+  /// to the uninterrupted run, under any engine.
   void restore_checkpoint(CkptReader& r);
 
   // --- RouterEnvironment ---
@@ -209,15 +209,21 @@ class Network final : public RouterEnvironment {
   void eject(RouterId r, const Flit& flit, Tick now) override;
 
  private:
+  /// Runs the trace on the indexed or the sharded engine, between
+  /// begin_run and finish_run.
   void run_loop(const Trace& trace, Tick end_tick, bool drain);
-  /// The pre-indexed kernel: O(routers + NICs) min-scan per event, full
-  /// router sweep per tick. Kept behind NocConfig::legacy_linear_kernel for
-  /// one release as the equivalence reference. Returns the last event tick.
-  Tick run_loop_linear(const Trace& trace, Tick end_tick, bool drain);
+  /// Run set-up shared by every driver: the one-shot guard, the run
+  /// parameters, resume validation (or fresh loop state) and the log
+  /// reservations.
+  void begin_run(const Trace& trace, Tick end_tick, bool drain);
+  /// Run wrap-up shared by every driver: compiles the metrics up to
+  /// `last_event` (drain mode or an interrupted run) or the run horizon.
+  void finish_run(Tick last_event);
   /// The indexed kernel: one event lane over every router supplies the
   /// next event time, and only routers/NICs whose event is due at now_ are
-  /// visited. Bit-identical to run_loop_linear (same router-id-order
-  /// tie-breaking at equal ticks). Returns the last event tick.
+  /// visited. Bit-identical to the linear-scan reference kernel
+  /// (tests/linear_kernel.hpp; same router-id-order tie-breaking at equal
+  /// ticks). Returns the last event tick.
   Tick run_loop_indexed(const Trace& trace, Tick end_tick, bool drain);
   /// The sharded engine (engine_sharded.cpp, DESIGN.md §11): contiguous
   /// router-id shards, one event lane each, run conservative lookahead
@@ -250,7 +256,6 @@ class Network final : public RouterEnvironment {
   /// watchdog_epochs_ consecutive epochs with zero flit ejections while
   /// packets are outstanding.
   void check_progress(Tick now);
-  Tick next_event_after(Tick trace_next) const;
   /// Power Punch: wakes/pins every router on the XY path src -> dst
   /// (inclusive) so a matured packet does not stall hop-by-hop on wakeups.
   void secure_path(RouterId src, RouterId dst, Tick now);
@@ -365,7 +370,6 @@ class Network final : public RouterEnvironment {
   int stalled_epochs_ = 0;
   std::uint64_t last_progress_flits_ = 0;
 
-  bool indexed_ = false;  ///< Indexed kernel active (lanes maintained).
   int shards_used_ = 1;
   double shard_stall_frac_ = 0.0;
   /// Which lane owns each router: one lane over every router, except
@@ -391,8 +395,12 @@ class Network final : public RouterEnvironment {
 
   /// The sharded engine lives in its own TU and drives the same private
   /// phases and state (routers, NICs, counters, lanes) as the sequential
-  /// kernels.
+  /// kernel.
   friend struct ShardRuntime;
+  /// The linear-scan reference kernel the equivalence tests compare every
+  /// engine against (tests/linear_kernel.hpp). It is built into the tests
+  /// only and drives the same phases between begin_run and finish_run.
+  friend struct LinearKernel;
 
   /// Cumulative-counter snapshots for per-window deltas (extended set).
   struct RouterSnapshot {

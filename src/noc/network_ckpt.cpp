@@ -7,9 +7,8 @@
 // always serialized in canonical router-id order, and the sharded engine
 // only checkpoints at epoch barriers, where its state is bit-identical to
 // the sequential engine's. `shard_threads` is therefore deliberately
-// absent from both the format and the restore validation (like the
-// kernel-selection flag): a file saved under N shards restores under any
-// M, including M = 1.
+// absent from both the format and the restore validation: a file saved
+// under N shards restores under any M, including M = 1.
 #include <algorithm>
 #include <vector>
 
@@ -123,9 +122,10 @@ void Network::save_checkpoint(CkptWriter& w) const {
   w.tag("NET0");
 
   // --- Validation block: the resuming process must reconstruct an
-  // identical simulation before loading mutable state. The kernel flag is
-  // deliberately absent — both kernels are bit-identical, so a checkpoint
-  // written under one may be resumed under the other.
+  // identical simulation before loading mutable state. Nothing about the
+  // kernel that wrote it is recorded: every kernel is bit-identical (the
+  // tests' linear reference included), so a checkpoint written under one
+  // resumes under any other.
   w.str(ctx_.topo->name());
   w.i32(ctx_.topo->num_routers());
   w.i32(ctx_.topo->concentration());

@@ -52,14 +52,7 @@ struct NocConfig {
   bool collect_extended_log = false;  ///< Record the extended (41-feature)
                                       ///< vectors as well.
 
-  // --- Kernel selection ---
-  /// Run the pre-indexed event kernel: a full O(routers + NICs) min-scan
-  /// per event and a full router sweep per clock edge. The indexed and
-  /// sharded engines (event lanes with lazy invalidation) are bit-identical
-  /// to it; it shares none of their lane code, so it stays as the
-  /// independent reference the equivalence tests compare them against.
-  bool legacy_linear_kernel = false;
-
+  // --- Engine selection ---
   /// Intra-run parallelism: number of shard worker threads for a single
   /// simulation (DESIGN.md §11). Each shard owns a contiguous router-id
   /// range and its own event lane; shards synchronize at
@@ -68,7 +61,7 @@ struct NocConfig {
   /// 0 = auto (DOZZ_SHARD_THREADS env var if set, else 1); 1 = sequential
   /// (the default engine). The sharded engine engages
   /// only for configurations it can replay exactly (non-gating policy, no
-  /// faults, no observer, no extended-feature capture, indexed kernel,
+  /// faults, no observer, no extended-feature capture,
   /// link_latency_cycles >= 1, and packet-id-inert VC selection); anything
   /// else silently falls back to sequential — see Network::shards_used().
   int shard_threads = 0;
@@ -89,17 +82,24 @@ struct NocConfig {
 };
 
 /// Effective shard thread count for `config`: `config.shard_threads` when
-/// explicitly positive, else the DOZZ_SHARD_THREADS env var, else 1.
-/// Always >= 1. Defined in network.cpp next to the other env resolvers;
+/// explicitly positive, else the DOZZ_SHARD_THREADS env var when positive,
+/// else 1. Always >= 1. Throws ConfigError when DOZZ_SHARD_THREADS is not
+/// an integer from 0 to kMaxThreads. Defined in network.cpp next to the other env resolvers;
 /// run_batch()/run_batch_supervised() use it to split the thread budget
 /// between sweep-level and intra-run parallelism.
 int resolve_shard_threads(const NocConfig& config);
 
-/// Throws ConfigError naming the first key of `config` no simulation can
-/// run with: no virtual channels, VC classes that do not divide them, a
-/// zero buffer depth or packet size, a zero-cycle epoch, or a negative
-/// gating idle threshold. The Network
-/// constructor calls it; keys are the field names ("epoch_cycles").
-void validate(const NocConfig& config, const KeyNamer& name = {});
+/// Most (input port, VC) slots a router may have: its allocators keep one
+/// bit per slot in a 64-bit mask.
+inline constexpr int kMaxRouterSlots = 64;
+
+/// Throws ConfigError naming the first key of `config` no simulation on
+/// `topo` can run with: no virtual channels, VC classes that do not divide
+/// them, more VCs than kMaxRouterSlots leaves each of the topology's router
+/// ports, a zero buffer depth or packet size, a zero-cycle epoch, or a
+/// negative gating idle threshold. The Network constructor calls it; keys
+/// are the field names ("epoch_cycles").
+void validate(const NocConfig& config, const Topology& topo,
+              const KeyNamer& name = {});
 
 }  // namespace dozz

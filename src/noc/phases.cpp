@@ -15,7 +15,7 @@ void Network::wake(RouterId r, Tick now) {
   Router& target = router(r);
   target.request_wake(now);
   if (target.state() != RouterState::kInactive) {
-    if (indexed_) schedule_edge(r);  // wake moved next_edge off kInfTick
+    schedule_edge(r);  // wake moved next_edge off kInfTick
     if (ctx_.observer != nullptr) ctx_.observer->on_wakeup_begin(now, r);
   } else if (ctx_.injector != nullptr) {
     // The wake request was lost (dropped, or refused by a stuck power
@@ -94,7 +94,7 @@ void Network::eject(RouterId r, const Flit& flit, Tick now) {
     sink.schedule_response(next_packet_id_++, flit.dst_core, flit.src_core,
                            ready);
     ++pending_responses_;
-    if (indexed_) lane_of(r).push_response(r, ready);
+    lane_of(r).push_response(r, ready);
   }
 }
 
@@ -109,7 +109,7 @@ void Network::handle_corrupt_tail(const Flit& tail, Tick now) {
   }
   // NIC-level retransmission: the source NI re-sends the whole packet as a
   // fresh instance after an exponential backoff. It shares the response
-  // timer queue, so both kernels schedule it like any matured response
+  // timer queue, so every kernel schedules it like any matured response
   // (maturation counts it as offered; this instance stays terminal, which
   // keeps the drain invariant delivered + corrupted == offered exact).
   PendingPacket p;
@@ -125,7 +125,7 @@ void Network::handle_corrupt_tail(const Flit& tail, Tick now) {
   const RouterId src = ctx_.topo->router_of_core(tail.src_core);
   nic(src).schedule_retransmit(p, ready);
   ++pending_responses_;
-  if (indexed_) lane_of(src).push_response(src, ready);
+  lane_of(src).push_response(src, ready);
   ++fs.retransmissions;
   DOZZ_LOG_DEBUG("fault: packet " << tail.packet_id
                  << " failed CRC; retransmit attempt "

@@ -21,6 +21,7 @@ Router::Router(RouterId id, const Topology& topo, const NocConfig& config,
   DOZZ_REQUIRE(config.vc_classes >= 1 &&
                config.vcs_per_port % config.vc_classes == 0);
   const int ports = topo.ports_per_router();
+  DOZZ_REQUIRE(ports * config.vcs_per_port <= kMaxRouterSlots);
   inputs_.reserve(static_cast<std::size_t>(ports));
   flit_in_.resize(static_cast<std::size_t>(ports));
   credit_in_.resize(static_cast<std::size_t>(ports));
@@ -49,7 +50,6 @@ Router::Router(RouterId id, const Topology& topo, const NocConfig& config,
   ep_port_arrivals_.assign(static_cast<std::size_t>(ports), 0);
   ep_port_departures_.assign(static_cast<std::size_t>(ports), 0);
   for (const auto& in : inputs_) total_capacity_ += in.total_capacity();
-  fast_masks_ = ports * config.vcs_per_port <= 64;
   next_edge_ = period();
 }
 
@@ -132,8 +132,7 @@ void Router::drain_flits(Tick now) {
       tf.flit.eligible_tick =
           now + static_cast<Tick>(config_->pipeline_stages) * period();
       vc.push(tf.flit);
-      if (fast_masks_)
-        occ_mask_ |= std::uint64_t{1} << slot_index(p, tf.vc);
+      occ_mask_ |= std::uint64_t{1} << slot_index(p, tf.vc);
       ++buffered_flits_;
       ++ep_port_arrivals_[static_cast<std::size_t>(p)];
       --inbound_inflight_;
@@ -151,22 +150,12 @@ int Router::compute_output_port(const Flit& flit) const {
 }
 
 void Router::route_and_allocate(Tick now, RouterEnvironment& env) {
-  if (fast_masks_) {
-    // Visit only the non-empty VCs. Ascending slot order is the same
-    // port-major (p, then v) order as the full sweep.
-    const int vcs = config_->vcs_per_port;
-    for (std::uint64_t m = occ_mask_; m != 0; m &= m - 1) {
-      const int slot = std::countr_zero(m);
-      route_vc(slot / vcs, slot % vcs, now, env);
-    }
-    return;
-  }
-  for (int p = 0; p < num_ports(); ++p) {
-    auto& port = inputs_[static_cast<std::size_t>(p)];
-    for (int v = 0; v < port.num_vcs(); ++v) {
-      if (port.vc(v).empty()) continue;
-      route_vc(p, v, now, env);
-    }
+  // Visit only the non-empty VCs, in ascending slot order: port-major
+  // (p, then v).
+  const int vcs = config_->vcs_per_port;
+  for (std::uint64_t m = occ_mask_; m != 0; m &= m - 1) {
+    const int slot = std::countr_zero(m);
+    route_vc(slot / vcs, slot % vcs, now, env);
   }
 }
 
@@ -178,9 +167,8 @@ void Router::route_vc(int p, int v, Tick now, RouterEnvironment& env) {
     const int out_port = compute_output_port(front);
     if (is_local_port(out_port)) {
       vc.allocate(out_port, 0);
-      if (fast_masks_)
-        outputs_[static_cast<std::size_t>(out_port)].req_mask |=
-            std::uint64_t{1} << slot_index(p, v);
+      outputs_[static_cast<std::size_t>(out_port)].req_mask |=
+          std::uint64_t{1} << slot_index(p, v);
     } else {
       // VC allocation: claim a free downstream VC on the chosen
       // output, restricted to the packet's dateline class on a torus.
@@ -210,8 +198,7 @@ void Router::route_vc(int p, int v, Tick now, RouterEnvironment& env) {
       if (claimed < 0) return;  // retry next cycle
       out.vc_busy[static_cast<std::size_t>(claimed)] = 1;
       vc.allocate(out_port, claimed);
-      if (fast_masks_)
-        out.req_mask |= std::uint64_t{1} << slot_index(p, v);
+      out.req_mask |= std::uint64_t{1} << slot_index(p, v);
       // Power Punch: the moment a packet commits to an output, wake the
       // router after the next one on its path (hides T-Wakeup).
       if (config_->lookahead_punch) {
@@ -233,8 +220,6 @@ void Router::route_vc(int p, int v, Tick now, RouterEnvironment& env) {
 void Router::switch_allocate(Tick now, RouterEnvironment& env) {
   const int vcs = config_->vcs_per_port;
   const int slots = num_ports() * vcs;
-  std::array<char, 16> in_port_used{};
-  DOZZ_ASSERT(num_ports() <= 16);
   // Slots on input ports not yet granted this edge (the crossbar serves at
   // most one flit per input port per cycle). Bits at or above `slots` are
   // never set in any req_mask, so they can stay set here.
@@ -250,68 +235,41 @@ void Router::switch_allocate(Tick now, RouterEnvironment& env) {
       if (!env.downstream_can_accept(ds)) continue;  // gated or waking
     }
 
-    // Round-robin over (input port, vc) requesters.
+    // Round-robin over the (input port, vc) slots holding an allocation
+    // for this output: bits at or after last_grant+1 first, then wrap to
+    // the low bits.
     int granted = -1;
-    if (fast_masks_) {
-      // Probe only the slots holding an allocation for this output, in the
-      // same circular order the full scan uses: bits at or after
-      // last_grant+1 first, then wrap to the low bits.
-      std::uint64_t cand = out.req_mask & free_slots;
-      const int start = (out.last_grant + 1) % slots;
-      while (cand != 0) {
-        const std::uint64_t ge = cand >> start;
-        const int slot = ge != 0
-                             ? start + std::countr_zero(ge)
-                             : std::countr_zero(cand);
-        auto& vc = inputs_[static_cast<std::size_t>(slot / vcs)]
-                       .vc(slot % vcs);
-        if (!vc.empty() && now >= vc.front().eligible_tick &&
-            (local_out ||
-             out.credits[static_cast<std::size_t>(vc.out_vc())] > 0)) {
-          granted = slot;
-          break;
-        }
-        cand &= ~(std::uint64_t{1} << slot);
-      }
-    } else {
-      for (int step = 1; step <= slots; ++step) {
-        const int slot = (out.last_grant + step) % slots;
-        const int in_port = slot / vcs;
-        const int in_vc = slot % vcs;
-        if (in_port_used[static_cast<std::size_t>(in_port)]) continue;
-        auto& vc = inputs_[static_cast<std::size_t>(in_port)].vc(in_vc);
-        if (vc.empty() || !vc.allocated() || vc.out_port() != out_port)
-          continue;
-        if (now < vc.front().eligible_tick) continue;
-        if (!local_out &&
-            out.credits[static_cast<std::size_t>(vc.out_vc())] <= 0)
-          continue;
+    std::uint64_t cand = out.req_mask & free_slots;
+    const int start = (out.last_grant + 1) % slots;
+    while (cand != 0) {
+      const std::uint64_t ge = cand >> start;
+      const int slot =
+          ge != 0 ? start + std::countr_zero(ge) : std::countr_zero(cand);
+      auto& vc = inputs_[static_cast<std::size_t>(slot / vcs)].vc(slot % vcs);
+      if (!vc.empty() && now >= vc.front().eligible_tick &&
+          (local_out ||
+           out.credits[static_cast<std::size_t>(vc.out_vc())] > 0)) {
         granted = slot;
         break;
       }
+      cand &= ~(std::uint64_t{1} << slot);
     }
     if (granted < 0) continue;
 
     out.last_grant = granted;
     const int in_port = granted / vcs;
     const int in_vc = granted % vcs;
-    in_port_used[static_cast<std::size_t>(in_port)] = 1;
-    if (fast_masks_) {
-      free_slots &=
-          ~(((std::uint64_t{1} << vcs) - 1) << (in_port * vcs));
-    }
+    free_slots &= ~(((std::uint64_t{1} << vcs) - 1) << (in_port * vcs));
     auto& vc = inputs_[static_cast<std::size_t>(in_port)].vc(in_vc);
     const int out_vc = vc.out_vc();
     Flit flit = vc.pop();
     --buffered_flits_;
     DOZZ_ASSERT(buffered_flits_ >= 0);
-    if (fast_masks_ && vc.empty())
-      occ_mask_ &= ~(std::uint64_t{1} << granted);
+    if (vc.empty()) occ_mask_ &= ~(std::uint64_t{1} << granted);
     if (flit.is_tail) {
       if (!local_out) out.vc_busy[static_cast<std::size_t>(out_vc)] = 0;
       vc.release();
-      if (fast_masks_)
-        out.req_mask &= ~(std::uint64_t{1} << granted);
+      out.req_mask &= ~(std::uint64_t{1} << granted);
     }
 
     // Credit back to the upstream router for the slot just freed.
@@ -512,7 +470,7 @@ void Router::accept_local(int port, int vc, Flit flit, Tick now) {
   ++ep_injected_;
   ++ep_port_arrivals_[static_cast<std::size_t>(port)];
   ++buffered_flits_;
-  if (fast_masks_) occ_mask_ |= std::uint64_t{1} << slot_index(port, vc);
+  occ_mask_ |= std::uint64_t{1} << slot_index(port, vc);
   channel.push(flit);
 }
 
@@ -764,15 +722,13 @@ void Router::load_state(CkptReader& r) {
   // format unchanged).
   occ_mask_ = 0;
   for (auto& out : outputs_) out.req_mask = 0;
-  if (fast_masks_) {
-    for (int p = 0; p < num_ports(); ++p) {
-      for (int v = 0; v < config_->vcs_per_port; ++v) {
-        const VirtualChannel& vc = inputs_[static_cast<std::size_t>(p)].vc(v);
-        const std::uint64_t bit = std::uint64_t{1} << slot_index(p, v);
-        if (!vc.empty()) occ_mask_ |= bit;
-        if (vc.allocated())
-          outputs_[static_cast<std::size_t>(vc.out_port())].req_mask |= bit;
-      }
+  for (int p = 0; p < num_ports(); ++p) {
+    for (int v = 0; v < config_->vcs_per_port; ++v) {
+      const VirtualChannel& vc = inputs_[static_cast<std::size_t>(p)].vc(v);
+      const std::uint64_t bit = std::uint64_t{1} << slot_index(p, v);
+      if (!vc.empty()) occ_mask_ |= bit;
+      if (vc.allocated())
+        outputs_[static_cast<std::size_t>(vc.out_port())].req_mask |= bit;
     }
   }
 }

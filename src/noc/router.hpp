@@ -224,9 +224,8 @@ class Router {
     std::vector<char> vc_busy;      ///< Downstream VC allocated to a packet.
     int last_grant = -1;            ///< Round-robin pointer over (port, vc).
     /// Request bitmask over (input port, vc) slots: bit p*vcs+v is set while
-    /// that input VC holds an allocation targeting this output. Maintained
-    /// only when fast_masks_ (slots fit a word); lets switch allocation
-    /// probe just the requesters instead of every slot.
+    /// that input VC holds an allocation targeting this output, so switch
+    /// allocation probes just the requesters instead of every slot.
     std::uint64_t req_mask = 0;
   };
 
@@ -292,11 +291,9 @@ class Router {
   int total_capacity_ = 0;  ///< Sum of input buffer capacities (constant).
 
   /// Occupancy bitmask over (input port, vc) slots: bit p*vcs+v is set
-  /// while that VC buffers at least one flit. Lets route_and_allocate and
-  /// switch_allocate visit only live slots. Only maintained when the slot
-  /// count fits one word (fast_masks_); wider configs keep the plain scans.
+  /// while that VC buffers at least one flit, so route_and_allocate visits
+  /// only live slots. The slots fit one word (kMaxRouterSlots).
   std::uint64_t occ_mask_ = 0;
-  bool fast_masks_ = false;  ///< ports * vcs_per_port <= 64.
 
   std::uint64_t epoch_occ_ = 0;
   std::uint64_t epoch_cap_ = 0;

@@ -1,6 +1,5 @@
 #include "src/sim/config_file.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 
@@ -58,12 +57,7 @@ double config_get_double(const ConfigMap& config, const std::string& key,
                          double fallback) {
   const auto it = config.find(key);
   if (it == config.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  if (end == it->second.c_str())
-    throw InputError("config key '" + key + "' is not a number: " +
-                     it->second);
-  return v;
+  return parse_double(it->second, "config key '" + key + "'");
 }
 
 std::uint64_t config_get_u64(const ConfigMap& config, const std::string& key,
@@ -71,6 +65,13 @@ std::uint64_t config_get_u64(const ConfigMap& config, const std::string& key,
   const auto it = config.find(key);
   if (it == config.end()) return fallback;
   return parse_unsigned(it->second, "config key '" + key + "'");
+}
+
+int config_get_int(const ConfigMap& config, const std::string& key,
+                   int fallback, int min, int max) {
+  const auto it = config.find(key);
+  if (it == config.end()) return fallback;
+  return parse_signed(it->second, "config key '" + key + "'", min, max);
 }
 
 bool config_get_bool(const ConfigMap& config, const std::string& key,

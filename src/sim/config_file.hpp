@@ -10,7 +10,9 @@
 // later assignments override earlier ones.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -28,14 +30,19 @@ ConfigMap parse_config(std::istream& in,
 /// 1-based line number.
 ConfigMap load_config_file(const std::string& path);
 
-/// Typed lookup helpers with defaults. config_get_u64 takes a plain decimal
-/// number: a sign or trailing text is a ConfigError naming the key.
+/// Typed lookup helpers with defaults. The numeric ones take a plain decimal
+/// number (config_get_u64 without a sign, config_get_int an integer from
+/// `min` to `max`, config_get_double a finite number): anything else,
+/// trailing text included, is a ConfigError naming the key.
 std::string config_get(const ConfigMap& config, const std::string& key,
                        const std::string& fallback);
 double config_get_double(const ConfigMap& config, const std::string& key,
                          double fallback);
 std::uint64_t config_get_u64(const ConfigMap& config, const std::string& key,
                              std::uint64_t fallback);
+int config_get_int(const ConfigMap& config, const std::string& key,
+                   int fallback, int min = std::numeric_limits<int>::min(),
+                   int max = std::numeric_limits<int>::max());
 bool config_get_bool(const ConfigMap& config, const std::string& key,
                      bool fallback);
 

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "src/common/error.hpp"
+#include "src/common/parse.hpp"
 #include "src/sim/registries.hpp"
 
 namespace dozz {
@@ -18,7 +19,7 @@ void validate(const SimSetup& setup, double compression,
   const auto named = [&name](const std::string& key) {
     return name ? name(key) : key;
   };
-  validate(setup.noc,
+  validate(setup.noc, setup.make_topology(),
            [&named](const std::string& key) { return named("noc." + key); });
   // max_drain_tick() is 8 * end_tick() and must stay below kInfTick.
   constexpr std::uint64_t kMaxCycles = kInfTick / (8 * kBaselinePeriodTicks);
@@ -36,8 +37,8 @@ std::uint64_t quick_divisor() {
   static const std::uint64_t divisor = []() -> std::uint64_t {
     const char* env = std::getenv("DOZZ_QUICK");
     if (env == nullptr) return 1;
-    const long v = std::strtol(env, nullptr, 10);
-    return v >= 1 ? static_cast<std::uint64_t>(v) : 1;
+    const std::uint64_t v = parse_unsigned(env, "DOZZ_QUICK");
+    return v >= 1 ? v : 1;
   }();
   return divisor;
 }

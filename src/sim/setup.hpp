@@ -36,18 +36,19 @@ struct SimSetup {
   Tick max_drain_tick() const { return end_tick() * 8; }
 };
 
-/// validate(setup.noc) plus the run's own parameters: the duration must be
-/// at least one cycle and keep the drain horizon inside the tick range,
-/// and the trace `compression` factor must be positive and finite. Throws
-/// ConfigError naming the key ("noc.epoch_cycles", "duration_cycles",
-/// "compression") through `name`. Front ends call it before any trace
-/// generation or training.
+/// validate(setup.noc) on the setup's topology plus the run's own
+/// parameters: the duration must be at least one cycle and keep the drain
+/// horizon inside the tick range, and the trace `compression` factor must
+/// be positive and finite. Throws ConfigError naming the key
+/// ("noc.epoch_cycles", "duration_cycles", "compression") through `name`.
+/// Front ends call it before any trace generation or training.
 void validate(const SimSetup& setup, double compression = 1.0,
               const KeyNamer& name = {});
 
 /// Scale factor for bench workloads, settable via the DOZZ_QUICK environment
 /// variable (e.g. DOZZ_QUICK=4 divides run lengths by 4 for smoke runs).
-/// Returns 1 when unset.
+/// Returns 1 when unset or 0; throws ConfigError when it is not a
+/// non-negative integer.
 std::uint64_t quick_divisor();
 
 /// `cycles / quick_divisor()`, floored at `min_cycles`.

@@ -1,15 +1,15 @@
 // Checkpoint/restore contract: interrupting a run at any epoch boundary,
 // serializing the network, restoring into a fresh network and finishing
 // must produce a final report bit-identical to the uninterrupted run — for
-// every policy kind, in both kernels, with the fault layer armed or not,
-// and even across kernels (checkpoint under the linear kernel, resume
-// under the indexed one). Also covers the file framing, the typed
+// every policy kind, under both the product's engine and the linear-scan
+// reference kernel (tests/linear_kernel.hpp), with the fault layer armed
+// or not, and even across kernels (checkpoint under the linear kernel,
+// resume under the indexed one). Also covers the file framing, the typed
 // validation errors, the sweep manifest, and the supervised batch runner's
 // skip/retry/timeout behavior.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -26,22 +26,10 @@
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
 #include "src/trafficgen/patterns.hpp"
+#include "tests/linear_kernel.hpp"
 
 namespace dozz {
 namespace {
-
-std::string sanitize(std::string name) {
-  for (char& c : name)
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  return name;
-}
-
-WeightVector passthrough_weights() {
-  WeightVector w;
-  w.feature_names = EpochFeatures::names();
-  w.weights = {0.0, 0.0, 0.0, 0.0, 1.0};
-  return w;
-}
 
 std::optional<WeightVector> weights_for(PolicyKind kind) {
   return policy_uses_ml(kind)
@@ -49,78 +37,11 @@ std::optional<WeightVector> weights_for(PolicyKind kind) {
              : std::nullopt;
 }
 
-void expect_stat_identical(const RunningStat& a, const RunningStat& b,
-                           const char* label) {
-  EXPECT_EQ(a.count(), b.count()) << label;
-  EXPECT_EQ(a.mean(), b.mean()) << label;
-  EXPECT_EQ(a.variance(), b.variance()) << label;
-  EXPECT_EQ(a.min(), b.min()) << label;
-  EXPECT_EQ(a.max(), b.max()) << label;
-}
-
-void expect_metrics_identical(const NetworkMetrics& a,
-                              const NetworkMetrics& b) {
-  EXPECT_EQ(a.packets_offered, b.packets_offered);
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-  EXPECT_EQ(a.requests_delivered, b.requests_delivered);
-  EXPECT_EQ(a.responses_delivered, b.responses_delivered);
-  expect_stat_identical(a.packet_latency_ns, b.packet_latency_ns,
-                        "packet_latency_ns");
-  expect_stat_identical(a.network_latency_ns, b.network_latency_ns,
-                        "network_latency_ns");
-  expect_stat_identical(a.packet_hops, b.packet_hops, "packet_hops");
-  EXPECT_EQ(a.sim_ticks, b.sim_ticks);
-  EXPECT_EQ(a.static_energy_j, b.static_energy_j);
-  EXPECT_EQ(a.dynamic_energy_j, b.dynamic_energy_j);
-  EXPECT_EQ(a.ml_energy_j, b.ml_energy_j);
-  EXPECT_EQ(a.wall_static_energy_j, b.wall_static_energy_j);
-  EXPECT_EQ(a.wall_dynamic_energy_j, b.wall_dynamic_energy_j);
-  EXPECT_EQ(a.gatings, b.gatings);
-  EXPECT_EQ(a.wakeups, b.wakeups);
-  EXPECT_EQ(a.premature_wakeups, b.premature_wakeups);
-  EXPECT_EQ(a.mode_switches, b.mode_switches);
-  EXPECT_EQ(a.labels_computed, b.labels_computed);
-  for (std::size_t i = 0; i < a.state_fractions.size(); ++i)
-    EXPECT_EQ(a.state_fractions[i], b.state_fractions[i]) << "state " << i;
-  for (std::size_t i = 0; i < a.epoch_mode_counts.size(); ++i)
-    EXPECT_EQ(a.epoch_mode_counts[i], b.epoch_mode_counts[i]) << "mode " << i;
-  EXPECT_EQ(a.avg_ibu, b.avg_ibu);
-  EXPECT_EQ(a.off_time_fraction, b.off_time_fraction);
-  EXPECT_EQ(a.latency_p50_ns, b.latency_p50_ns);
-  EXPECT_EQ(a.latency_p95_ns, b.latency_p95_ns);
-  EXPECT_EQ(a.latency_p99_ns, b.latency_p99_ns);
-  EXPECT_EQ(a.faults.flits_corrupted, b.faults.flits_corrupted);
-  EXPECT_EQ(a.faults.wakes_dropped, b.faults.wakes_dropped);
-  EXPECT_EQ(a.faults.retransmissions, b.faults.retransmissions);
-  EXPECT_EQ(a.faults.packets_lost, b.faults.packets_lost);
-  EXPECT_EQ(a.faults.droops, b.faults.droops);
-  EXPECT_EQ(a.faults.mode_switch_failures, b.faults.mode_switch_failures);
-}
-
-void expect_epoch_logs_identical(
-    const std::vector<std::vector<EpochFeatures>>& a,
-    const std::vector<std::vector<EpochFeatures>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    ASSERT_EQ(a[e].size(), b[e].size()) << "epoch " << e;
-    for (std::size_t r = 0; r < a[e].size(); ++r) {
-      EXPECT_EQ(a[e][r].bias, b[e][r].bias);
-      EXPECT_EQ(a[e][r].reqs_sent, b[e][r].reqs_sent) << e << "/" << r;
-      EXPECT_EQ(a[e][r].reqs_received, b[e][r].reqs_received) << e << "/" << r;
-      EXPECT_EQ(a[e][r].total_off_kcycles, b[e][r].total_off_kcycles)
-          << e << "/" << r;
-      EXPECT_EQ(a[e][r].current_ibu, b[e][r].current_ibu) << e << "/" << r;
-    }
-  }
-}
-
-SimSetup small_setup(bool legacy_kernel, bool faults_armed) {
+SimSetup small_setup(bool faults_armed) {
   SimSetup setup;
   setup.duration_cycles = 6000;
   setup.run_to_drain = true;
   setup.noc.epoch_cycles = 500;
-  setup.noc.legacy_linear_kernel = legacy_kernel;
   setup.noc.collect_epoch_log = true;
   // Armed = fault layer on with all rates zero: the checkpoint then also
   // carries the injector RNG + fault stats sections.
@@ -128,28 +49,23 @@ SimSetup small_setup(bool legacy_kernel, bool faults_armed) {
   return setup;
 }
 
-void drive(Network& net, const SimSetup& setup, const Trace& trace) {
-  if (setup.run_to_drain)
-    net.run_until_drained(trace, setup.max_drain_tick());
-  else
-    net.run(trace, setup.end_tick());
-}
-
+/// The uninterrupted run, on the linear reference kernel when `linear`.
 RunOutcome run_uninterrupted(const SimSetup& setup, PolicyKind kind,
-                             const Trace& trace) {
+                             const Trace& trace, bool linear = false) {
   const int routers = setup.make_topology().num_routers();
   auto policy = make_policy(kind, routers, weights_for(kind));
-  return run_simulation(setup, *policy, trace);
+  return run_simulation_on(linear, setup, *policy, trace);
 }
 
-/// Runs until epoch `stop_epoch`, checkpoints in memory, abandons the run,
-/// then restores into a fresh network (optionally with the other kernel)
-/// and finishes. Returns the resumed run's outcome.
+/// Runs until epoch `stop_epoch` (on the linear reference kernel when
+/// `save_linear`), checkpoints in memory, abandons the run, then restores
+/// into a fresh network and finishes (on the linear kernel when
+/// `resume_linear`). Returns the resumed run's outcome.
 RunOutcome run_interrupted_then_resumed(const SimSetup& setup,
                                         PolicyKind kind, const Trace& trace,
                                         std::uint64_t stop_epoch,
-                                        bool resume_with_other_kernel =
-                                            false) {
+                                        bool save_linear,
+                                        bool resume_linear) {
   const Topology topo = setup.make_topology();
   const int routers = topo.num_routers();
 
@@ -167,26 +83,23 @@ RunOutcome run_interrupted_then_resumed(const SimSetup& setup,
       saved = true;
       return false;
     });
-    drive(net, setup, trace);
+    drive(net, setup, trace, save_linear);
     EXPECT_TRUE(net.interrupted());
     // Interrupted runs still compile a (partial) report without crashing.
     EXPECT_GT(net.metrics().sim_ticks, 0u);
   }
   EXPECT_TRUE(saved) << "run ended before epoch " << stop_epoch;
 
-  NocConfig resumed_config = setup.noc;
-  if (resume_with_other_kernel)
-    resumed_config.legacy_linear_kernel = !resumed_config.legacy_linear_kernel;
   auto policy = make_policy(kind, routers, weights_for(kind));
   SimoLdoRegulator regulator;
   const PowerModel power;
-  Network net(topo, resumed_config, *policy, power, regulator);
+  Network net(topo, setup.noc, *policy, power, regulator);
   const auto& payload = w.bytes();
   CkptReader r(payload.data(), payload.size(), "<memory>");
   net.restore_checkpoint(r);
   r.expect_end();
   EXPECT_TRUE(net.resumed());
-  drive(net, setup, trace);
+  drive(net, setup, trace, resume_linear);
   EXPECT_FALSE(net.interrupted());
 
   RunOutcome outcome;
@@ -197,19 +110,19 @@ RunOutcome run_interrupted_then_resumed(const SimSetup& setup,
   return outcome;
 }
 
-using CkptParam = std::tuple<PolicyKind, bool /*legacy*/, bool /*faults*/>;
+using CkptParam = std::tuple<PolicyKind, bool /*linear*/, bool /*faults*/>;
 
 class CheckpointResumeTest : public ::testing::TestWithParam<CkptParam> {};
 
 TEST_P(CheckpointResumeTest, ResumeIsBitIdentical) {
-  const auto [kind, legacy, faults] = GetParam();
-  const SimSetup setup = small_setup(legacy, faults);
+  const auto [kind, linear, faults] = GetParam();
+  const SimSetup setup = small_setup(faults);
   const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
-  const RunOutcome full = run_uninterrupted(setup, kind, trace);
+  const RunOutcome full = run_uninterrupted(setup, kind, trace, linear);
   // Two interrupt points: early (mid-warmup) and late (near the drain).
   for (std::uint64_t stop_epoch : {2u, 7u}) {
-    const RunOutcome resumed =
-        run_interrupted_then_resumed(setup, kind, trace, stop_epoch);
+    const RunOutcome resumed = run_interrupted_then_resumed(
+        setup, kind, trace, stop_epoch, linear, linear);
     expect_metrics_identical(full.metrics, resumed.metrics);
     expect_epoch_logs_identical(full.epoch_log, resumed.epoch_log);
   }
@@ -230,13 +143,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(CheckpointCrossKernel, LinearCheckpointResumesUnderIndexed) {
   for (PolicyKind kind :
        {PolicyKind::kBaseline, PolicyKind::kPowerGate, PolicyKind::kDozzNoc}) {
-    const SimSetup setup = small_setup(/*legacy_kernel=*/true,
-                                       /*faults_armed=*/false);
+    const SimSetup setup = small_setup(/*faults_armed=*/false);
     const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
-    const RunOutcome full = run_uninterrupted(setup, kind, trace);
+    const RunOutcome full =
+        run_uninterrupted(setup, kind, trace, /*linear=*/true);
     const RunOutcome resumed = run_interrupted_then_resumed(
-        setup, kind, trace, /*stop_epoch=*/4,
-        /*resume_with_other_kernel=*/true);
+        setup, kind, trace, /*stop_epoch=*/4, /*save_linear=*/true,
+        /*resume_linear=*/false);
     expect_metrics_identical(full.metrics, resumed.metrics);
     expect_epoch_logs_identical(full.epoch_log, resumed.epoch_log);
   }
@@ -249,8 +162,7 @@ TEST(CheckpointCrossKernel, LinearCheckpointResumesUnderIndexed) {
 // with packets in flight (non-empty rings being serialized) and the
 // resumed run must still be bit-identical to the uninterrupted one.
 TEST(CheckpointWrappedRings, MidTrafficSaveRestoresBitIdentically) {
-  const SimSetup setup = small_setup(/*legacy_kernel=*/false,
-                                     /*faults_armed=*/false);
+  const SimSetup setup = small_setup(/*faults_armed=*/false);
   const Topology topo = setup.make_topology();
   const Trace trace = generate_synthetic_trace(
       topo, uniform_pattern(topo.num_cores()), /*rate=*/0.10,
@@ -272,7 +184,7 @@ TEST(CheckpointWrappedRings, MidTrafficSaveRestoresBitIdentically) {
       n.save_checkpoint(w);
       return false;
     });
-    drive(net, setup, trace);
+    drive(net, setup, trace, /*linear=*/false);
     EXPECT_TRUE(net.interrupted());
   }
   ASSERT_GT(in_flight_at_save, 0u)
@@ -287,7 +199,7 @@ TEST(CheckpointWrappedRings, MidTrafficSaveRestoresBitIdentically) {
   CkptReader r(payload.data(), payload.size(), "<memory>");
   net.restore_checkpoint(r);
   r.expect_end();
-  drive(net, setup, trace);
+  drive(net, setup, trace, /*linear=*/false);
   EXPECT_FALSE(net.interrupted());
   expect_metrics_identical(full.metrics, net.metrics());
   expect_epoch_logs_identical(full.epoch_log, net.epoch_log());
@@ -298,8 +210,7 @@ TEST(CheckpointWrappedRings, MidTrafficSaveRestoresBitIdentically) {
 // file, comparing against the uninterrupted run.
 TEST(CheckpointFile, ControlledStopAndResumeRoundTripsThroughDisk) {
   const std::string path = ::testing::TempDir() + "dozz_ckpt_roundtrip.ckpt";
-  const SimSetup setup = small_setup(/*legacy_kernel=*/false,
-                                     /*faults_armed=*/true);
+  const SimSetup setup = small_setup(/*faults_armed=*/true);
   const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
   const int routers = setup.make_topology().num_routers();
 
@@ -334,8 +245,7 @@ TEST(CheckpointFile, ControlledStopAndResumeRoundTripsThroughDisk) {
 // checkpointed one must fail with a typed, descriptive error — never
 // silently produce a half-restored network.
 TEST(CheckpointValidation, ConfigMismatchThrowsCheckpointError) {
-  const SimSetup setup = small_setup(/*legacy_kernel=*/false,
-                                     /*faults_armed=*/false);
+  const SimSetup setup = small_setup(/*faults_armed=*/false);
   const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
   const Topology topo = setup.make_topology();
   const int routers = topo.num_routers();
@@ -351,7 +261,7 @@ TEST(CheckpointValidation, ConfigMismatchThrowsCheckpointError) {
       n.save_checkpoint(w);
       return false;
     });
-    drive(net, setup, trace);
+    drive(net, setup, trace, /*linear=*/false);
   }
   const auto& payload = w.bytes();
 
@@ -399,8 +309,7 @@ TEST(CheckpointValidation, ConfigMismatchThrowsCheckpointError) {
 // checkpoint names the trace it was taken against.
 TEST(CheckpointValidation, TraceMismatchOnResumeThrows) {
   const std::string path = ::testing::TempDir() + "dozz_ckpt_trace.ckpt";
-  const SimSetup setup = small_setup(/*legacy_kernel=*/false,
-                                     /*faults_armed=*/false);
+  const SimSetup setup = small_setup(/*faults_armed=*/false);
   const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
   const int routers = setup.make_topology().num_routers();
 

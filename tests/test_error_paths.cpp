@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -228,6 +229,89 @@ TEST(RunParameters, UnsignedValuesAreCheckedAndEchoedAsTyped) {
   }
   expect_config_error([] { parse_unsigned("8", "--threads", 7); },
                       "--threads");
+}
+
+/// Expects `fn` to throw a ConfigError whose message is exactly `message`.
+void expect_config_message(const std::function<void()>& fn,
+                           const std::string& message) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a ConfigError: " << message;
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()), message);
+  }
+}
+
+TEST(RunParameters, SignedValuesAreCheckedAndEchoedAsTyped) {
+  EXPECT_EQ(parse_signed("-1", "--watchdog"), -1);
+  EXPECT_EQ(parse_signed("0", "--vcs"), 0);
+  EXPECT_EQ(parse_signed("2147483647", "--depth"), 2147483647);
+  EXPECT_EQ(parse_signed("-2147483648", "--tidle"), -2147483647 - 1);
+  EXPECT_EQ(parse_signed("256", "--shard-threads", 0, 256), 256);
+  for (const std::string bad : {"0abc", "3x", "abc", "", " 5", "+5", "1.9",
+                                "0x10", "1e3", "2147483648",
+                                "-2147483649"})
+    expect_config_message([&] { parse_signed(bad, "--vcs"); },
+                          "--vcs must be an integer (got " + bad + ")");
+  // A bounded value names its range.
+  for (const std::string bad : {"-1", "257"})
+    expect_config_message(
+        [&] { parse_signed(bad, "--shard-threads", 0, 256); },
+        "--shard-threads must be an integer from 0 to 256 (got " + bad +
+            ")");
+  expect_config_message([] { parse_signed("-1", "--retries", 0); },
+                        "--retries must be an integer of at least 0 (got -1)");
+}
+
+TEST(RunParameters, FloatingValuesAreCheckedAndEchoedAsTyped) {
+  EXPECT_EQ(parse_double("0.25", "--compress"), 0.25);
+  EXPECT_EQ(parse_double("-1", "--compress"), -1.0);
+  EXPECT_EQ(parse_double("1e-3", "--fault-link"), 1e-3);
+  EXPECT_EQ(parse_double("0", "--timeout", 0.0), 0.0);
+  for (const std::string bad : {"0x", "0.5abc", "abc", "", " 1", "+1",
+                                "-1z", "inf", "nan", "1e999"})
+    expect_config_message(
+        [&] { parse_double(bad, "--compress"); },
+        "--compress must be a finite number (got " + bad + ")");
+  expect_config_message(
+      [] { parse_double("-1", "--backoff", 0.0); },
+      "--backoff must be a finite number of at least 0 (got -1)");
+}
+
+TEST(RunParameters, ConfigNumbersAreChecked) {
+  std::stringstream in(
+      "compress = 0.5abc\nwatchdog = 1.9\nvcs = 4294967297\nok = -3\n");
+  const ConfigMap c = parse_config(in);
+  expect_config_message(
+      [&] { config_get_double(c, "compress", 1.0); },
+      "config key 'compress' must be a finite number (got 0.5abc)");
+  expect_config_message([&] { config_get_int(c, "watchdog", 0); },
+                        "config key 'watchdog' must be an integer (got 1.9)");
+  // Out of int range is an error, not a wrap-around to 1.
+  expect_config_message(
+      [&] { config_get_int(c, "vcs", 2); },
+      "config key 'vcs' must be an integer (got 4294967297)");
+  EXPECT_EQ(config_get_int(c, "ok", 0), -3);
+  EXPECT_EQ(config_get_int(c, "missing", 7), 7);
+}
+
+// The allocators keep one mask bit per (input port, VC) slot: 13 VCs on a
+// 5-port mesh router make 65 slots, one more than fits.
+TEST(RunParameters, MoreRouterSlotsThanAMaskIsAConfigError) {
+  SimSetup setup;
+  setup.noc.vcs_per_port = 13;
+  expect_config_message(
+      [&] { validate(setup); },
+      "noc.vcs_per_port must be at most 12 with 5 ports per router (got 13)");
+  expect_config_error([&] { build_network(setup.noc); }, "vcs_per_port");
+  // 12 VCs (60 slots) still run; cmesh's 8-port routers stop at 8 VCs.
+  setup.noc.vcs_per_port = 12;
+  EXPECT_NO_THROW(validate(setup));
+  EXPECT_NO_THROW(build_network(setup.noc));
+  setup.topology = "cmesh";
+  expect_config_error([&] { validate(setup); }, "noc.vcs_per_port");
+  setup.noc.vcs_per_port = 8;
+  EXPECT_NO_THROW(validate(setup));
 }
 
 TEST(RunParameters, ZeroCompressionIsAConfigError) {

@@ -12,6 +12,7 @@
 #include "src/faults/fault_injector.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
+#include "tests/linear_kernel.hpp"
 
 namespace dozz {
 namespace {
@@ -116,19 +117,18 @@ TEST(FaultInjector, DroopStallCoversRecovery) {
 
 // --- Whole-network resilience ---
 
-RunOutcome run_faulty(const FaultConfig& faults, bool legacy_kernel,
+RunOutcome run_faulty(const FaultConfig& faults, bool linear,
                       int watchdog_epochs = 0) {
   SimSetup setup;
   setup.duration_cycles = 6000;
   setup.run_to_drain = true;
   setup.noc.epoch_cycles = 500;
-  setup.noc.legacy_linear_kernel = legacy_kernel;
   setup.noc.faults = faults;
   setup.noc.watchdog_epochs = watchdog_epochs;
   const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
   auto policy = make_reactive_twin(PolicyKind::kDozzNoc,
                                    setup.make_topology().num_routers());
-  return run_simulation(setup, *policy, trace);
+  return run_simulation_on(linear, setup, *policy, trace);
 }
 
 /// Every corrupted packet instance must be retransmitted or declared lost,
@@ -144,7 +144,7 @@ TEST(FaultResilience, CrcRetransmissionClosesAccounting) {
   FaultConfig f;
   f.enabled = true;
   f.link_bit_flip_rate = 0.005;
-  const RunOutcome out = run_faulty(f, /*legacy_kernel=*/false);
+  const RunOutcome out = run_faulty(f, /*linear=*/false);
   const FaultStats& stats = out.metrics.faults;
   ASSERT_GT(stats.flits_corrupted, 0u) << "rate too low to exercise CRC";
   EXPECT_GT(stats.packets_corrupted, 0u);
@@ -157,7 +157,7 @@ TEST(FaultResilience, RetryBudgetBoundsLoss) {
   f.enabled = true;
   f.link_bit_flip_rate = 0.20;  // Brutal: most packets need several tries.
   f.max_retries = 1;
-  const RunOutcome out = run_faulty(f, /*legacy_kernel=*/false);
+  const RunOutcome out = run_faulty(f, /*linear=*/false);
   const FaultStats& stats = out.metrics.faults;
   EXPECT_GT(stats.packets_lost, 0u);
   // A packet instance may be retried at most max_retries times.
@@ -168,8 +168,8 @@ TEST(FaultResilience, RetryBudgetBoundsLoss) {
 
 TEST(FaultResilience, FixedSeedRunsAreIdentical) {
   const FaultConfig f = nonzero_config();
-  const RunOutcome a = run_faulty(f, /*legacy_kernel=*/false);
-  const RunOutcome b = run_faulty(f, /*legacy_kernel=*/false);
+  const RunOutcome a = run_faulty(f, /*linear=*/false);
+  const RunOutcome b = run_faulty(f, /*linear=*/false);
   EXPECT_EQ(a.metrics.packets_delivered, b.metrics.packets_delivered);
   EXPECT_EQ(a.metrics.sim_ticks, b.metrics.sim_ticks);
   EXPECT_EQ(a.metrics.static_energy_j, b.metrics.static_energy_j);
@@ -182,8 +182,8 @@ TEST(FaultResilience, FixedSeedRunsAreIdentical) {
 
 TEST(FaultResilience, KernelsStayEquivalentUnderFaults) {
   const FaultConfig f = nonzero_config();
-  const RunOutcome linear = run_faulty(f, /*legacy_kernel=*/true);
-  const RunOutcome indexed = run_faulty(f, /*legacy_kernel=*/false);
+  const RunOutcome linear = run_faulty(f, /*linear=*/true);
+  const RunOutcome indexed = run_faulty(f, /*linear=*/false);
   EXPECT_EQ(linear.metrics.packets_delivered,
             indexed.metrics.packets_delivered);
   EXPECT_EQ(linear.metrics.sim_ticks, indexed.metrics.sim_ticks);
@@ -203,7 +203,7 @@ TEST(FaultResilience, RepeatedWakeLossDegradesGating) {
   f.enabled = true;
   f.wake_drop_rate = 0.9;  // Most wakes lost; retries eventually succeed.
   f.wake_loss_threshold = 3;
-  const RunOutcome out = run_faulty(f, /*legacy_kernel=*/false);
+  const RunOutcome out = run_faulty(f, /*linear=*/false);
   EXPECT_GT(out.metrics.faults.wakes_dropped, 0u);
   EXPECT_GT(out.metrics.faults.routers_gating_degraded, 0u);
   // Degradation keeps the run healthy: everything still drains.
@@ -215,7 +215,7 @@ TEST(FaultResilience, RepeatedRegulatorFaultsPinNominal) {
   f.enabled = true;
   f.mode_switch_fail_rate = 0.8;
   f.regulator_fault_threshold = 3;
-  const RunOutcome out = run_faulty(f, /*legacy_kernel=*/false);
+  const RunOutcome out = run_faulty(f, /*linear=*/false);
   EXPECT_GT(out.metrics.faults.mode_switch_failures, 0u);
   EXPECT_GT(out.metrics.faults.routers_pinned_nominal, 0u);
   EXPECT_EQ(out.metrics.packets_delivered, out.metrics.packets_offered);
@@ -226,7 +226,7 @@ TEST(FaultResilience, DroopsForceNominalAndRecover) {
   f.enabled = true;
   f.droop_rate = 0.5;
   f.regulator_fault_threshold = 4;
-  const RunOutcome out = run_faulty(f, /*legacy_kernel=*/false);
+  const RunOutcome out = run_faulty(f, /*linear=*/false);
   EXPECT_GT(out.metrics.faults.droops, 0u);
   EXPECT_EQ(out.metrics.packets_delivered, out.metrics.packets_offered);
 }
@@ -236,7 +236,7 @@ TEST(FaultResilience, StuckGateRefusesThenRecovers) {
   f.enabled = true;
   f.stuck_gate_rate = 0.5;
   f.stuck_gate_cycles = 32;
-  const RunOutcome out = run_faulty(f, /*legacy_kernel=*/false);
+  const RunOutcome out = run_faulty(f, /*linear=*/false);
   EXPECT_GT(out.metrics.faults.stuck_gatings, 0u);
   EXPECT_EQ(out.metrics.packets_delivered, out.metrics.packets_offered);
 }
@@ -249,7 +249,7 @@ TEST(Watchdog, ThrowsTypedErrorOnTotalWakeLoss) {
   f.wake_drop_rate = 1.0;     // No gated router ever wakes again...
   f.wake_loss_threshold = 1000000;  // ...and degradation never rescues it.
   try {
-    run_faulty(f, /*legacy_kernel=*/false, /*watchdog_epochs=*/8);
+    run_faulty(f, /*linear=*/false, /*watchdog_epochs=*/8);
     FAIL() << "expected SimStallError";
   } catch (const SimStallError& e) {
     // The runner prefixes the failing policy and trace for sweep triage.

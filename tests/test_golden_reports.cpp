@@ -1,6 +1,7 @@
 // Golden-report regression: pins the text + JSON report for every paper
-// policy on mesh and cmesh against committed fixtures, under BOTH event
-// kernels. The fixtures were generated from the pre-refactor tree, so any
+// policy on mesh and cmesh against committed fixtures, under both the
+// product's engine and the linear-scan reference kernel
+// (tests/linear_kernel.hpp). The fixtures were generated from the pre-refactor tree, so any
 // refactor that drifts simulation results, iteration order, float math or
 // report formatting fails here byte-for-byte.
 //
@@ -19,6 +20,7 @@
 #include "src/sim/report.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
+#include "tests/linear_kernel.hpp"
 
 namespace dozz {
 namespace {
@@ -50,16 +52,18 @@ std::string golden_path(PolicyKind kind, bool cmesh) {
 
 // One deterministic short run; the report is the text report followed by
 // the JSON line, exactly as dozznoc_sim prints them.
-std::string report_for(PolicyKind kind, bool cmesh, bool legacy_kernel) {
+std::string report_for(PolicyKind kind, bool cmesh, bool linear) {
   SimSetup setup;
   setup.topology = cmesh ? "cmesh" : "mesh";
   configure_topology(setup.topology, "", &setup.noc);
   setup.duration_cycles = 8000;
-  setup.noc.legacy_linear_kernel = legacy_kernel;
   const Trace trace = make_benchmark_trace(setup, "blackscholes");
   std::optional<WeightVector> weights;
   if (policy_uses_ml(kind)) weights = golden_weights();
-  const RunOutcome outcome = run_policy(setup, kind, trace, weights);
+  auto policy =
+      make_policy(kind, setup.make_topology().num_routers(), weights);
+  const RunOutcome outcome =
+      run_simulation_on(linear, setup, *policy, trace);
   std::ostringstream os;
   write_text_report(os, outcome);
   os << outcome_to_json(outcome) << '\n';
@@ -99,8 +103,8 @@ TEST_P(GoldenReport, MatchesFixtureUnderBothKernels) {
       << " (regenerate with DOZZ_REGEN_GOLDEN=1)";
   EXPECT_EQ(indexed, *fixture) << "indexed-kernel report drifted from " << path;
 
-  const std::string legacy = report_for(c.kind, c.cmesh, true);
-  EXPECT_EQ(legacy, *fixture) << "legacy-kernel report drifted from " << path;
+  const std::string linear = report_for(c.kind, c.cmesh, true);
+  EXPECT_EQ(linear, *fixture) << "linear-kernel report drifted from " << path;
 }
 
 std::string golden_case_name(

@@ -1,116 +1,30 @@
-// The indexed event-schedule kernel must replay the retired linear-scan
-// kernel bit for bit: identical metrics (down to RunningStat internals),
-// identical epoch logs, identical extended logs, for every policy, at both
-// load regimes, in both fixed-window and run-to-drain modes. Tie-breaking
+// The indexed event-schedule kernel must replay the linear-scan reference
+// kernel (tests/linear_kernel.hpp) bit for bit: identical metrics (down to
+// RunningStat internals), identical epoch logs, identical extended logs,
+// for every policy, at both load regimes, in both fixed-window and
+// run-to-drain modes. Tie-breaking
 // at equal ticks (router-id order) and mid-sweep wake ordering are part of
 // the kernel's contract, so any divergence here is a kernel bug even when
 // aggregate results look plausible.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <string>
 #include <tuple>
 
 #include "src/core/policies.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
+#include "tests/linear_kernel.hpp"
 
 namespace dozz {
 namespace {
 
-std::string sanitize(std::string name) {
-  for (char& c : name)
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  return name;
-}
-
-WeightVector passthrough_weights() {
-  WeightVector w;
-  w.feature_names = EpochFeatures::names();
-  w.weights = {0.0, 0.0, 0.0, 0.0, 1.0};
-  return w;
-}
-
-void expect_stat_identical(const RunningStat& a, const RunningStat& b,
-                           const char* label) {
-  EXPECT_EQ(a.count(), b.count()) << label;
-  EXPECT_EQ(a.mean(), b.mean()) << label;
-  EXPECT_EQ(a.variance(), b.variance()) << label;
-  EXPECT_EQ(a.min(), b.min()) << label;
-  EXPECT_EQ(a.max(), b.max()) << label;
-}
-
-void expect_metrics_identical(const NetworkMetrics& a,
-                              const NetworkMetrics& b) {
-  EXPECT_EQ(a.packets_offered, b.packets_offered);
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-  EXPECT_EQ(a.requests_delivered, b.requests_delivered);
-  EXPECT_EQ(a.responses_delivered, b.responses_delivered);
-  expect_stat_identical(a.packet_latency_ns, b.packet_latency_ns,
-                        "packet_latency_ns");
-  expect_stat_identical(a.network_latency_ns, b.network_latency_ns,
-                        "network_latency_ns");
-  expect_stat_identical(a.packet_hops, b.packet_hops, "packet_hops");
-  EXPECT_EQ(a.sim_ticks, b.sim_ticks);
-  EXPECT_EQ(a.static_energy_j, b.static_energy_j);
-  EXPECT_EQ(a.dynamic_energy_j, b.dynamic_energy_j);
-  EXPECT_EQ(a.ml_energy_j, b.ml_energy_j);
-  EXPECT_EQ(a.wall_static_energy_j, b.wall_static_energy_j);
-  EXPECT_EQ(a.wall_dynamic_energy_j, b.wall_dynamic_energy_j);
-  EXPECT_EQ(a.gatings, b.gatings);
-  EXPECT_EQ(a.wakeups, b.wakeups);
-  EXPECT_EQ(a.premature_wakeups, b.premature_wakeups);
-  EXPECT_EQ(a.mode_switches, b.mode_switches);
-  EXPECT_EQ(a.labels_computed, b.labels_computed);
-  for (std::size_t i = 0; i < a.state_fractions.size(); ++i)
-    EXPECT_EQ(a.state_fractions[i], b.state_fractions[i]) << "state " << i;
-  for (std::size_t i = 0; i < a.epoch_mode_counts.size(); ++i)
-    EXPECT_EQ(a.epoch_mode_counts[i], b.epoch_mode_counts[i]) << "mode " << i;
-  EXPECT_EQ(a.avg_ibu, b.avg_ibu);
-  EXPECT_EQ(a.off_time_fraction, b.off_time_fraction);
-  EXPECT_EQ(a.latency_p50_ns, b.latency_p50_ns);
-  EXPECT_EQ(a.latency_p95_ns, b.latency_p95_ns);
-  EXPECT_EQ(a.latency_p99_ns, b.latency_p99_ns);
-  EXPECT_EQ(a.faults.flits_corrupted, b.faults.flits_corrupted);
-  EXPECT_EQ(a.faults.wakes_dropped, b.faults.wakes_dropped);
-  EXPECT_EQ(a.faults.wakes_refused_stuck, b.faults.wakes_refused_stuck);
-  EXPECT_EQ(a.faults.wakes_delayed, b.faults.wakes_delayed);
-  EXPECT_EQ(a.faults.stuck_gatings, b.faults.stuck_gatings);
-  EXPECT_EQ(a.faults.mode_switch_failures, b.faults.mode_switch_failures);
-  EXPECT_EQ(a.faults.droops, b.faults.droops);
-  EXPECT_EQ(a.faults.packets_corrupted, b.faults.packets_corrupted);
-  EXPECT_EQ(a.faults.retransmissions, b.faults.retransmissions);
-  EXPECT_EQ(a.faults.packets_lost, b.faults.packets_lost);
-  EXPECT_EQ(a.faults.routers_gating_degraded,
-            b.faults.routers_gating_degraded);
-  EXPECT_EQ(a.faults.routers_pinned_nominal, b.faults.routers_pinned_nominal);
-}
-
-void expect_epoch_logs_identical(
-    const std::vector<std::vector<EpochFeatures>>& a,
-    const std::vector<std::vector<EpochFeatures>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    ASSERT_EQ(a[e].size(), b[e].size()) << "epoch " << e;
-    for (std::size_t r = 0; r < a[e].size(); ++r) {
-      EXPECT_EQ(a[e][r].bias, b[e][r].bias);
-      EXPECT_EQ(a[e][r].reqs_sent, b[e][r].reqs_sent) << e << "/" << r;
-      EXPECT_EQ(a[e][r].reqs_received, b[e][r].reqs_received) << e << "/" << r;
-      EXPECT_EQ(a[e][r].total_off_kcycles, b[e][r].total_off_kcycles)
-          << e << "/" << r;
-      EXPECT_EQ(a[e][r].current_ibu, b[e][r].current_ibu) << e << "/" << r;
-    }
-  }
-}
-
 RunOutcome run_kernel(PolicyKind kind, const std::string& benchmark,
-                      double compression, bool legacy, bool drain,
+                      double compression, bool linear, bool drain,
                       bool collect_extended, bool faults_armed = false) {
   SimSetup setup;
   setup.duration_cycles = 6000;
   setup.run_to_drain = drain;
-  setup.noc.legacy_linear_kernel = legacy;
   setup.noc.epoch_cycles = 500;
   if (collect_extended) setup.noc.collect_extended_log = true;
   // Armed = fault layer on (hooks live, CRC stamped) but all rates zero:
@@ -124,8 +38,8 @@ RunOutcome run_kernel(PolicyKind kind, const std::string& benchmark,
                                 ? std::optional<WeightVector>(
                                       passthrough_weights())
                                 : std::nullopt);
-  return run_simulation(setup, *policy, trace, /*collect_epoch_log=*/true,
-                        collect_extended);
+  return run_simulation_on(linear, setup, *policy, trace,
+                           /*collect_epoch_log=*/true, collect_extended);
 }
 
 using EquivParam = std::tuple<PolicyKind, std::string /*benchmark*/>;
@@ -136,10 +50,10 @@ TEST_P(KernelEquivalenceTest, IndexedMatchesLinearBitForBit) {
   const auto [kind, benchmark] = GetParam();
   for (double compression : {1.0, kCompressedFactor}) {
     const RunOutcome linear =
-        run_kernel(kind, benchmark, compression, /*legacy=*/true,
+        run_kernel(kind, benchmark, compression, /*linear=*/true,
                    /*drain=*/false, /*collect_extended=*/false);
     const RunOutcome indexed =
-        run_kernel(kind, benchmark, compression, /*legacy=*/false,
+        run_kernel(kind, benchmark, compression, /*linear=*/false,
                    /*drain=*/false, /*collect_extended=*/false);
     expect_metrics_identical(linear.metrics, indexed.metrics);
     expect_epoch_logs_identical(linear.epoch_log, indexed.epoch_log);
@@ -149,10 +63,10 @@ TEST_P(KernelEquivalenceTest, IndexedMatchesLinearBitForBit) {
 TEST_P(KernelEquivalenceTest, IndexedMatchesLinearRunToDrain) {
   const auto [kind, benchmark] = GetParam();
   const RunOutcome linear =
-      run_kernel(kind, benchmark, kCompressedFactor, /*legacy=*/true,
+      run_kernel(kind, benchmark, kCompressedFactor, /*linear=*/true,
                  /*drain=*/true, /*collect_extended=*/false);
   const RunOutcome indexed =
-      run_kernel(kind, benchmark, kCompressedFactor, /*legacy=*/false,
+      run_kernel(kind, benchmark, kCompressedFactor, /*linear=*/false,
                  /*drain=*/true, /*collect_extended=*/false);
   expect_metrics_identical(linear.metrics, indexed.metrics);
   expect_epoch_logs_identical(linear.epoch_log, indexed.epoch_log);
@@ -174,12 +88,12 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(KernelEquivalenceFaults, ArmedZeroRatesBitIdenticalToDisabled) {
   for (PolicyKind kind :
        {PolicyKind::kBaseline, PolicyKind::kPowerGate, PolicyKind::kDozzNoc}) {
-    for (bool legacy : {true, false}) {
+    for (bool linear : {true, false}) {
       const RunOutcome off =
-          run_kernel(kind, "fft", kCompressedFactor, legacy,
+          run_kernel(kind, "fft", kCompressedFactor, linear,
                      /*drain=*/true, /*collect_extended=*/false);
       const RunOutcome armed =
-          run_kernel(kind, "fft", kCompressedFactor, legacy,
+          run_kernel(kind, "fft", kCompressedFactor, linear,
                      /*drain=*/true, /*collect_extended=*/false,
                      /*faults_armed=*/true);
       expect_metrics_identical(off.metrics, armed.metrics);
@@ -192,10 +106,10 @@ TEST(KernelEquivalenceFaults, ArmedZeroRatesBitIdenticalToDisabled) {
 // kernel introduced; it must replay identically too.
 TEST(KernelEquivalenceExtended, ExtendedLogsIdentical) {
   const RunOutcome linear =
-      run_kernel(PolicyKind::kDozzNoc, "fft", 1.0, /*legacy=*/true,
+      run_kernel(PolicyKind::kDozzNoc, "fft", 1.0, /*linear=*/true,
                  /*drain=*/false, /*collect_extended=*/true);
   const RunOutcome indexed =
-      run_kernel(PolicyKind::kDozzNoc, "fft", 1.0, /*legacy=*/false,
+      run_kernel(PolicyKind::kDozzNoc, "fft", 1.0, /*linear=*/false,
                  /*drain=*/false, /*collect_extended=*/true);
   expect_metrics_identical(linear.metrics, indexed.metrics);
   ASSERT_EQ(linear.extended_log.size(), indexed.extended_log.size());

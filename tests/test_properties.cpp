@@ -4,7 +4,6 @@
 // matrix properties.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <string>
 #include <tuple>
 
@@ -14,23 +13,10 @@
 #include "src/regulator/simo_ldo.hpp"
 #include "src/topology/topology.hpp"
 #include "src/trafficgen/patterns.hpp"
+#include "tests/linear_kernel.hpp"
 
 namespace dozz {
 namespace {
-
-/// gtest parameter names must be alphanumeric.
-std::string sanitize(std::string name) {
-  for (char& c : name)
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  return name;
-}
-
-WeightVector passthrough_weights() {
-  WeightVector w;
-  w.feature_names = EpochFeatures::names();
-  w.weights = {0.0, 0.0, 0.0, 0.0, 1.0};
-  return w;
-}
 
 // ---------------------------------------------------------------------------
 // Conservation: every offered packet is delivered, exactly once, under every

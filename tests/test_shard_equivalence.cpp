@@ -1,7 +1,8 @@
 // The sharded engine must replay the sequential indexed kernel — and the
-// legacy linear kernel, which shares none of the event-lane phase code the
-// other two run — bit for bit at every thread count: identical metrics (down to RunningStat
-// internals) and identical epoch logs for every eligible configuration,
+// linear-scan reference kernel (tests/linear_kernel.hpp), which shares
+// none of the event-lane code the other two run — bit for bit at every
+// thread count: identical metrics (down to RunningStat internals) and
+// identical epoch logs for every eligible configuration,
 // in fixed-window and run-to-drain modes, on mesh and torus, and across
 // checkpoints taken under one shard count and restored under another.
 // Ineligible configurations (gating policies, armed faults) must fall
@@ -10,7 +11,8 @@
 // in disguise.
 #include <gtest/gtest.h>
 
-#include <cctype>
+#include <algorithm>
+#include <cstdio>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -20,95 +22,10 @@
 #include "src/sim/registries.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
+#include "tests/linear_kernel.hpp"
 
 namespace dozz {
 namespace {
-
-std::string sanitize(std::string name) {
-  for (char& c : name)
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  return name;
-}
-
-WeightVector passthrough_weights() {
-  WeightVector w;
-  w.feature_names = EpochFeatures::names();
-  w.weights = {0.0, 0.0, 0.0, 0.0, 1.0};
-  return w;
-}
-
-void expect_stat_identical(const RunningStat& a, const RunningStat& b,
-                           const char* label) {
-  EXPECT_EQ(a.count(), b.count()) << label;
-  EXPECT_EQ(a.mean(), b.mean()) << label;
-  EXPECT_EQ(a.variance(), b.variance()) << label;
-  EXPECT_EQ(a.min(), b.min()) << label;
-  EXPECT_EQ(a.max(), b.max()) << label;
-}
-
-void expect_metrics_identical(const NetworkMetrics& a,
-                              const NetworkMetrics& b) {
-  EXPECT_EQ(a.packets_offered, b.packets_offered);
-  EXPECT_EQ(a.packets_delivered, b.packets_delivered);
-  EXPECT_EQ(a.flits_delivered, b.flits_delivered);
-  EXPECT_EQ(a.requests_delivered, b.requests_delivered);
-  EXPECT_EQ(a.responses_delivered, b.responses_delivered);
-  expect_stat_identical(a.packet_latency_ns, b.packet_latency_ns,
-                        "packet_latency_ns");
-  expect_stat_identical(a.network_latency_ns, b.network_latency_ns,
-                        "network_latency_ns");
-  expect_stat_identical(a.packet_hops, b.packet_hops, "packet_hops");
-  EXPECT_EQ(a.sim_ticks, b.sim_ticks);
-  EXPECT_EQ(a.static_energy_j, b.static_energy_j);
-  EXPECT_EQ(a.dynamic_energy_j, b.dynamic_energy_j);
-  EXPECT_EQ(a.ml_energy_j, b.ml_energy_j);
-  EXPECT_EQ(a.wall_static_energy_j, b.wall_static_energy_j);
-  EXPECT_EQ(a.wall_dynamic_energy_j, b.wall_dynamic_energy_j);
-  EXPECT_EQ(a.gatings, b.gatings);
-  EXPECT_EQ(a.wakeups, b.wakeups);
-  EXPECT_EQ(a.premature_wakeups, b.premature_wakeups);
-  EXPECT_EQ(a.mode_switches, b.mode_switches);
-  EXPECT_EQ(a.labels_computed, b.labels_computed);
-  for (std::size_t i = 0; i < a.state_fractions.size(); ++i)
-    EXPECT_EQ(a.state_fractions[i], b.state_fractions[i]) << "state " << i;
-  for (std::size_t i = 0; i < a.epoch_mode_counts.size(); ++i)
-    EXPECT_EQ(a.epoch_mode_counts[i], b.epoch_mode_counts[i]) << "mode " << i;
-  EXPECT_EQ(a.avg_ibu, b.avg_ibu);
-  EXPECT_EQ(a.off_time_fraction, b.off_time_fraction);
-  EXPECT_EQ(a.latency_p50_ns, b.latency_p50_ns);
-  EXPECT_EQ(a.latency_p95_ns, b.latency_p95_ns);
-  EXPECT_EQ(a.latency_p99_ns, b.latency_p99_ns);
-  EXPECT_EQ(a.faults.flits_corrupted, b.faults.flits_corrupted);
-  EXPECT_EQ(a.faults.wakes_dropped, b.faults.wakes_dropped);
-  EXPECT_EQ(a.faults.wakes_refused_stuck, b.faults.wakes_refused_stuck);
-  EXPECT_EQ(a.faults.wakes_delayed, b.faults.wakes_delayed);
-  EXPECT_EQ(a.faults.stuck_gatings, b.faults.stuck_gatings);
-  EXPECT_EQ(a.faults.mode_switch_failures, b.faults.mode_switch_failures);
-  EXPECT_EQ(a.faults.droops, b.faults.droops);
-  EXPECT_EQ(a.faults.packets_corrupted, b.faults.packets_corrupted);
-  EXPECT_EQ(a.faults.retransmissions, b.faults.retransmissions);
-  EXPECT_EQ(a.faults.packets_lost, b.faults.packets_lost);
-  EXPECT_EQ(a.faults.routers_gating_degraded,
-            b.faults.routers_gating_degraded);
-  EXPECT_EQ(a.faults.routers_pinned_nominal, b.faults.routers_pinned_nominal);
-}
-
-void expect_epoch_logs_identical(
-    const std::vector<std::vector<EpochFeatures>>& a,
-    const std::vector<std::vector<EpochFeatures>>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    ASSERT_EQ(a[e].size(), b[e].size()) << "epoch " << e;
-    for (std::size_t r = 0; r < a[e].size(); ++r) {
-      EXPECT_EQ(a[e][r].bias, b[e][r].bias);
-      EXPECT_EQ(a[e][r].reqs_sent, b[e][r].reqs_sent) << e << "/" << r;
-      EXPECT_EQ(a[e][r].reqs_received, b[e][r].reqs_received) << e << "/" << r;
-      EXPECT_EQ(a[e][r].total_off_kcycles, b[e][r].total_off_kcycles)
-          << e << "/" << r;
-      EXPECT_EQ(a[e][r].current_ibu, b[e][r].current_ibu) << e << "/" << r;
-    }
-  }
-}
 
 /// Eligible configuration variants: each satisfies the sharded engine's
 /// engagement predicate a different way (see Network::plan_shard_count).
@@ -155,8 +72,11 @@ struct Outcome {
   int shards_used = 0;
 };
 
+/// One run under `shard_threads`, or on the linear reference kernel when
+/// `linear`.
 Outcome run_with_shards(const SimSetup& base, PolicyKind kind,
-                        const Trace& trace, int shard_threads) {
+                        const Trace& trace, int shard_threads,
+                        bool linear = false) {
   SimSetup setup = base;
   setup.noc.shard_threads = shard_threads;
   setup.noc.collect_epoch_log = true;
@@ -169,22 +89,17 @@ Outcome run_with_shards(const SimSetup& base, PolicyKind kind,
   PowerModel power;
   SimoLdoRegulator regulator;
   Network net(topo, setup.noc, *policy, power, regulator);
-  if (setup.run_to_drain)
-    net.run_until_drained(trace, setup.max_drain_tick());
-  else
-    net.run(trace, setup.end_tick());
+  drive(net, setup, trace, linear);
   return {net.metrics(), net.epoch_log(), net.shards_used()};
 }
 
-/// The expected outcomes a sharded run must match: the legacy linear
+/// The expected outcomes a sharded run must match: the linear reference
 /// kernel's run (the independent reference) and the sequential indexed
 /// kernel's.
 std::vector<Outcome> reference_runs(const SimSetup& setup, PolicyKind kind,
                                     const Trace& trace) {
-  SimSetup legacy = setup;
-  legacy.noc.legacy_linear_kernel = true;
   std::vector<Outcome> refs;
-  refs.push_back(run_with_shards(legacy, kind, trace, 1));
+  refs.push_back(run_with_shards(setup, kind, trace, 1, /*linear=*/true));
   refs.push_back(run_with_shards(setup, kind, trace, 1));
   for (const Outcome& ref : refs) EXPECT_EQ(ref.shards_used, 1);
   return refs;
@@ -278,6 +193,51 @@ TEST(ShardFallback, ArmedFaultsFallBackBitIdentical) {
   expect_epoch_logs_identical(off.epoch_log, on.epoch_log);
 }
 
+/// Runs `base` under `save_shards` to epoch 3, checkpoints and stops, then
+/// restores into a fresh network under `resume_shards` and finishes the
+/// run. `most_pending`, when given, receives the most responses any NIC
+/// held pending at the save point.
+Outcome run_resumed(const SimSetup& base, PolicyKind kind, const Trace& trace,
+                    int save_shards, int resume_shards,
+                    std::size_t* most_pending = nullptr) {
+  const std::string path = ::testing::TempDir() + "dozz_shard_resume_" +
+                           sanitize(policy_name(kind)) + "_" +
+                           std::to_string(save_shards) + "_" +
+                           std::to_string(resume_shards) + ".ckpt";
+  SimSetup setup = base;
+  setup.noc.collect_epoch_log = true;
+  const Topology topo = setup.make_topology();
+  PowerModel power;
+  SimoLdoRegulator regulator;
+  {
+    // First leg: run under `save_shards`, checkpoint and stop at epoch 3.
+    setup.noc.shard_threads = save_shards;
+    auto policy = make_policy(kind, topo.num_routers(), passthrough_weights());
+    Network net(topo, setup.noc, *policy, power, regulator);
+    net.set_epoch_hook([&](Network& n, Tick, std::uint64_t epochs) {
+      if (epochs < 3) return true;
+      if (most_pending != nullptr)
+        for (RouterId r = 0; r < topo.num_routers(); ++r)
+          *most_pending =
+              std::max(*most_pending, n.nic(r).pending_response_count());
+      save_checkpoint_file(n, path);
+      return false;
+    });
+    net.run(trace, setup.end_tick());
+    EXPECT_TRUE(net.interrupted());
+    EXPECT_EQ(net.shards_used(), save_shards);
+  }
+  // Second leg: restore into a fresh network under `resume_shards`.
+  setup.noc.shard_threads = resume_shards;
+  auto policy = make_policy(kind, topo.num_routers(), passthrough_weights());
+  Network net(topo, setup.noc, *policy, power, regulator);
+  restore_checkpoint_file(net, path);
+  net.run(trace, setup.end_tick());
+  EXPECT_EQ(net.shards_used(), resume_shards);
+  std::remove(path.c_str());
+  return {net.metrics(), net.epoch_log(), net.shards_used()};
+}
+
 // Checkpoints are written in canonical router order and carry no shard
 // plan, so a run interrupted under N shards must continue under M shards
 // (including M = 1) to the same final report as the uninterrupted
@@ -286,50 +246,45 @@ TEST(ShardCheckpoint, SavedUnderNShardsResumesUnderMShards) {
   const SimSetup base = make_setup(Variant::kMeshSingleVc, /*drain=*/false);
   const Trace trace = make_benchmark_trace(base, "fft", kCompressedFactor);
   const Outcome seq = run_with_shards(base, PolicyKind::kLeadTau, trace, 1);
-
-  const std::string path =
-      ::testing::TempDir() + "dozz_shard_xresume.ckpt";
-  auto run_resumed = [&](int save_shards, int resume_shards) {
-    // First leg: run under `save_shards`, checkpoint and stop at epoch 3.
-    SimSetup setup = base;
-    setup.noc.shard_threads = save_shards;
-    setup.noc.collect_epoch_log = true;
-    const Topology topo = setup.make_topology();
-    auto policy = make_policy(PolicyKind::kLeadTau, topo.num_routers(),
-                              passthrough_weights());
-    PowerModel power;
-    SimoLdoRegulator regulator;
-    Network net(topo, setup.noc, *policy, power, regulator);
-    net.set_epoch_hook([&path](Network& n, Tick, std::uint64_t epochs) {
-      if (epochs < 3) return true;
-      save_checkpoint_file(n, path);
-      return false;
-    });
-    net.run(trace, setup.end_tick());
-    EXPECT_TRUE(net.interrupted());
-    EXPECT_EQ(net.shards_used(), save_shards);
-
-    // Second leg: restore into a fresh network under `resume_shards`.
-    SimSetup setup2 = base;
-    setup2.noc.shard_threads = resume_shards;
-    setup2.noc.collect_epoch_log = true;
-    auto policy2 = make_policy(PolicyKind::kLeadTau, topo.num_routers(),
-                               passthrough_weights());
-    Network net2(topo, setup2.noc, *policy2, power, regulator);
-    restore_checkpoint_file(net2, path);
-    net2.run(trace, setup2.end_tick());
-    EXPECT_EQ(net2.shards_used(),
-              resume_shards > 1 ? resume_shards : 1);
-    return Outcome{net2.metrics(), net2.epoch_log(), net2.shards_used()};
-  };
-
-  for (const auto [save_shards, resume_shards] :
+  for (const auto& [save_shards, resume_shards] :
        {std::pair{3, 1}, std::pair{3, 4}, std::pair{1, 3}}) {
     SCOPED_TRACE(std::to_string(save_shards) + "->" +
                  std::to_string(resume_shards));
-    const Outcome resumed = run_resumed(save_shards, resume_shards);
+    const Outcome resumed = run_resumed(base, PolicyKind::kLeadTau, trace,
+                                        save_shards, resume_shards);
     expect_metrics_identical(seq.metrics, resumed.metrics);
     expect_epoch_logs_identical(seq.epoch_log, resumed.epoch_log);
+  }
+}
+
+// The fixed-window cases of ShardedMatchesSequentialBitForBit cannot see
+// a lane that loses mature_due's republish of a NIC's next response: each
+// response is pushed into its lane when it is scheduled, at ejection, so
+// the republish only matters after EventLane::seed(), which publishes
+// just each NIC's earliest pending response. A fresh run seeds with
+// nothing pending, and a fixed-window sharded run's sequential tail exits
+// at once, so no seeded NIC ever holds two pending responses there (only
+// the run-to-drain tail seeds mid-traffic). A resume seeds mid-traffic:
+// this fixed-window case saves while some NIC holds several pending
+// responses and resumes under shards, against both references.
+TEST(ShardCheckpoint, FixedWindowResumeSeedsSeveralPendingResponses) {
+  const SimSetup base = make_setup(Variant::kMeshSingleVc, /*drain=*/false);
+  const Trace trace = make_benchmark_trace(base, "fft", kCompressedFactor);
+  const std::vector<Outcome> refs =
+      reference_runs(base, PolicyKind::kBaseline, trace);
+  for (int resume_shards : {2, 4, 8}) {
+    SCOPED_TRACE(resume_shards);
+    std::size_t most_pending = 0;
+    const Outcome resumed =
+        run_resumed(base, PolicyKind::kBaseline, trace, /*save_shards=*/1,
+                    resume_shards, &most_pending);
+    ASSERT_GE(most_pending, 2u)
+        << "no NIC held two pending responses at the save point, so the "
+           "resume would not exercise the republish";
+    for (const Outcome& ref : refs) {
+      expect_metrics_identical(ref.metrics, resumed.metrics);
+      expect_epoch_logs_identical(ref.epoch_log, resumed.epoch_log);
+    }
   }
 }
 
