@@ -1,5 +1,6 @@
 // Power-of-two ring buffer backing the simulator's hot-path FIFOs (VC flit
-// queues, link flit/credit channels, NIC injection queues).
+// queues and their in-flight tails, link credit channels, NIC injection
+// queues).
 //
 // std::deque pays a chunk allocation/deallocation every few dozen entries
 // as a push/pop stream crosses block boundaries, which makes the steady

@@ -20,10 +20,23 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Next raw 64-bit value.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double next_double();
+  double next_double() {
+    // 53 high bits -> uniform double in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound) using Lemire's rejection method.
   std::uint64_t next_below(std::uint64_t bound);
@@ -32,7 +45,7 @@ class Rng {
   std::int64_t next_in(std::int64_t lo, std::int64_t hi);
 
   /// Bernoulli trial with probability p of returning true.
-  bool next_bool(double p);
+  bool next_bool(double p) { return next_double() < p; }
 
   /// Exponentially distributed value with the given mean.
   double next_exponential(double mean);
@@ -52,6 +65,10 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

@@ -1,8 +1,9 @@
-// Timed point-to-point channels carrying flits (forward) and credits
-// (backward) between routers in different clock domains. Entries mature at
-// an absolute tick and are drained by the receiving router at its own clock
-// edges, which is how the paper's "hop latency is set by the upstream
-// router's frequency" semantics fall out naturally.
+// Timed point-to-point channels carrying credits back between routers in
+// different clock domains. Entries mature at an absolute tick and are
+// drained by the receiving router at its own clock edges, which is how the
+// paper's "hop latency is set by the upstream router's frequency" semantics
+// fall out naturally. Flits take the same timing without a channel: they
+// wait in the receiving VC's in-flight tail (input_buffer.hpp).
 #pragma once
 
 #include "src/common/error.hpp"
@@ -12,7 +13,8 @@
 
 namespace dozz {
 
-/// A flit in flight on a link, destined for input VC `vc` at the receiver.
+/// A flit in flight on a link, destined for input VC `vc` at the receiver
+/// (the checkpoint record of a VC's in-flight tail).
 struct TimedFlit {
   Tick arrival = 0;
   int vc = 0;
@@ -66,7 +68,6 @@ class TimedChannel {
   RingBuffer<Entry> entries_;
 };
 
-using FlitChannel = TimedChannel<TimedFlit>;
 using CreditChannel = TimedChannel<TimedCredit>;
 
 }  // namespace dozz

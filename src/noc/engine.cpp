@@ -93,7 +93,7 @@ Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
                                bool drain) {
   const auto& entries = trace.entries();
   // Loop-invariant policy/config lookups, hoisted out of the hot loops.
-  const bool gating = ctx_.policy->gating_enabled();
+  const bool gating = gating_;
   const bool punch = ctx_.config.lookahead_punch;
 
   DOZZ_ASSERT(lanes_.size() == 1);

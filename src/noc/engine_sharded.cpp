@@ -5,12 +5,13 @@
 // owned by one thread and holding one event lane (event_lane.hpp) over
 // its routers. A shard runs the sequential kernel's own per-event phases
 // (Network::offer_entry, mature_due, step_due) over its lane and
-// trace slice up to a conservative horizon; its RouterEnvironment applies
-// effects on its own routers through the Network's callbacks and stages
-// every cross-shard effect (flit delivery, credit return, Power Punch
-// secure marks) in per-destination outboxes. At the window barrier
-// receivers apply the staged traffic, a serial section on the
-// coordinator picks the next window, and the round repeats.
+// trace slice up to a conservative horizon. Its router environment
+// (ShardRuntime::Env, a RouterEnv the shard's step_due binds at compile
+// time) applies effects on its own routers through the Network's
+// callbacks and stages every cross-shard effect (flit delivery, credit
+// return, Power Punch secure marks) in per-destination outboxes. At the
+// window barrier receivers apply the staged traffic, a serial section on
+// the coordinator picks the next window, and the round repeats.
 //
 // Why the windows are exact, not approximate: every cross-shard effect
 // carries an arrival tick at least one fastest-mode clock period
@@ -18,9 +19,11 @@
 // link_latency_cycles >= 1 upstream periods, credits one period — so a
 // window of exactly that lookahead can never contain an event that
 // depends on in-window remote traffic. Applying the staged effects at
-// the barrier therefore leaves every channel with the same contents, in
-// the same per-channel order (each flit/credit channel has exactly one
-// sending router, hence one sending shard), as the sequential engine.
+// the barrier therefore leaves every link with the same contents, in
+// the same per-link order (each input port's flits and each output's
+// credits have exactly one sending router, hence one sending shard), as
+// the sequential engine: a delivered flit joins its VC's in-flight tail
+// before any tick at which it could mature.
 //
 // Determinism of the merged statistics: integer counters accumulate in
 // per-shard deltas (addition commutes); the order-sensitive
@@ -124,22 +127,22 @@ struct ShardRuntime {
     std::exception_ptr error;
   };
 
-  /// The per-shard RouterEnvironment: effects on the shard's own routers
-  /// go through the Network's own callbacks (the sequential engine's code
-  /// path), cross-shard effects are staged. Gating is off for every
-  /// engaged configuration, so the wake machinery in Network::secure is
-  /// dead here and remote state() reads race nothing (state_ changes only
-  /// in the serial epoch phase).
-  class Env : public RouterEnvironment {
+  /// The per-shard router environment (RouterEnv, router.hpp): effects on
+  /// the shard's own routers go through the Network's own callbacks (the
+  /// sequential engine's code path), cross-shard effects are staged.
+  /// Gating is off for every engaged configuration, so the wake machinery
+  /// in Network::secure is dead here and remote state() reads race nothing
+  /// (state_ changes only in the serial epoch phase).
+  class Env {
    public:
     Env(ShardRuntime& rt, Shard& s)
         : rt_(&rt), s_(&s), lo_(s.lane->lo()), hi_(s.lane->hi()) {}
 
-    bool downstream_can_accept(RouterId r) const override {
+    bool downstream_can_accept(RouterId r) const {
       return rt_->net_.downstream_can_accept(r);
     }
 
-    void secure(RouterId r, Tick now) override {
+    void secure(RouterId r, Tick now) {
       if (owns(r)) {
         rt_->net_.secure(r, now);
         return;
@@ -151,13 +154,13 @@ struct ShardRuntime {
       stage(r, op);
     }
 
-    void punch_ahead(RouterId r, RouterId dst, Tick now) override {
+    void punch_ahead(RouterId r, RouterId dst, Tick now) {
       if (r == dst) return;
       secure(rt_->net_.ctx_.routes.next_hop(r, dst), now);
     }
 
     void deliver(RouterId r, int port, int vc, Tick arrival,
-                 const Flit& flit) override {
+                 const Flit& flit) {
       if (owns(r)) {
         rt_->net_.deliver(r, port, vc, arrival, flit);
         return;
@@ -172,8 +175,7 @@ struct ShardRuntime {
       stage(r, op);
     }
 
-    void send_credit(RouterId upstream, int port, int vc,
-                     Tick arrival) override {
+    void send_credit(RouterId upstream, int port, int vc, Tick arrival) {
       if (owns(upstream)) {
         rt_->net_.send_credit(upstream, port, vc, arrival);
         return;
@@ -191,7 +193,7 @@ struct ShardRuntime {
     /// owns — mirror of Network::eject minus the fault/observer hooks
     /// (both excluded at engagement), with the floating-point adds
     /// deferred to the serial replay.
-    void eject(RouterId r, const Flit& flit, Tick now) override {
+    void eject(RouterId r, const Flit& flit, Tick now) {
       ++s_->d_flits;
       if (!flit.is_tail) return;
       Network& net = rt_->net_;
@@ -407,9 +409,7 @@ struct ShardRuntime {
 
   /// The shard-local event loop over [w_begin_, w_end_): the sequential
   /// kernel's phases 1, 2 and 4 over this shard's lane and trace slice. No
-  /// epoch phase (windows never cross a boundary); the same-tick wake
-  /// rule in step_due never fires (gating is off, so a step can never land
-  /// a new edge at the current tick).
+  /// epoch phase (windows never cross a boundary).
   void do_window(Shard& s) {
     Env env(*this, s);
     while (true) {
@@ -445,10 +445,10 @@ struct ShardRuntime {
   }
 
   /// Applies staged ops addressed to this shard, source shards in
-  /// ascending order. Per-channel arrival order is preserved: each
-  /// flit/credit channel has a single sending router, hence a single
-  /// source shard, and each outbox is already in that shard's local
-  /// (nondecreasing-time) send order.
+  /// ascending order. Per-link arrival order is preserved: each input
+  /// port's flits and each output's credits have a single sending router,
+  /// hence a single source shard, and each outbox is already in that
+  /// shard's local (nondecreasing-time) send order.
   void apply_inbox(Shard& s) {
     for (auto& src : shards_) {
       auto& ops = src.out[static_cast<std::size_t>(s.index)];

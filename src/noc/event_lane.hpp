@@ -68,6 +68,8 @@ class EventLane {
   /// NIC matured them already), so the caller re-checks each NIC.
   const std::vector<RouterId>& take_due_responses(Tick now) {
     due_.clear();
+    // Nearly every kernel event has no response due: skip the sort.
+    if (responses_.empty() || responses_.top().first > now) return due_;
     while (!responses_.empty() && responses_.top().first <= now) {
       due_.push_back(responses_.top().second);
       responses_.pop();
@@ -107,37 +109,6 @@ class EventLane {
       std::sort(due_.begin(), due_.end());
     due_.erase(std::unique(due_.begin(), due_.end()), due_.end());
     return due_;
-  }
-
-  /// The same-tick wake rule, applied after the router at position `k` of
-  /// the due list stepped. A pipeline step can wake a neighbour with a
-  /// zero-length wakeup, landing a new edge at `now` mid-sweep. The linear
-  /// sweep visits such a router this iteration only when its id is still
-  /// ahead of the cursor; an id already passed waits for the next
-  /// same-tick iteration. Both cases are mirrored exactly: ids ahead of
-  /// the cursor join the due list; the rest stay bucketed for the next
-  /// same-tick iteration.
-  void admit_same_tick(Tick now, std::size_t k) {
-    if (edges_.empty() || edges_.front_tick() > now) return;
-    const RouterId id = due_[k];
-    auto& bucket = edges_.front_bucket();
-    std::size_t deferred = 0;
-    for (const RouterId late_id : bucket) {
-      if (router(late_id).next_edge() != now) continue;  // stale
-      if (late_id > id) {
-        const auto it = std::lower_bound(
-            due_.begin() + static_cast<std::ptrdiff_t>(k) + 1, due_.end(),
-            late_id);
-        if (it == due_.end() || *it != late_id) due_.insert(it, late_id);
-      } else {
-        bucket[deferred++] = late_id;
-      }
-    }
-    if (deferred == 0) {
-      edges_.pop_front();
-    } else {
-      bucket.resize(deferred);
-    }
   }
 
  private:

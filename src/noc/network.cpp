@@ -92,7 +92,7 @@ int Network::plan_shard_count() const {
   // Gating couples shards at zero lookahead: a wake request must take
   // effect at the requesting tick, and gate/wake decisions read remote
   // router state mid-window.
-  if (ctx_.policy->gating_enabled()) return 1;
+  if (gating_) return 1;
   // Extended feature capture reads per-window idle/secure counters whose
   // exact values depend on in-window arrival visibility.
   if (ctx_.policy->wants_extended_features() || c.collect_extended_log)
@@ -115,7 +115,8 @@ int Network::plan_shard_count() const {
 Network::Network(const Topology& topo, const NocConfig& config,
                  PowerController& policy, const PowerModel& power,
                  const SimoLdoRegulator& regulator)
-    : ctx_(topo, config, policy, power, regulator) {
+    : ctx_(topo, config, policy, power, regulator),
+      gating_(policy.gating_enabled()) {
   validate(config, topo);
   const int n = topo.num_routers();
   routers_.reserve(static_cast<std::size_t>(n));

@@ -50,10 +50,12 @@ class EventObserver {
 ///   net.run(trace, ticks_from_ns(100000));
 ///   const NetworkMetrics& m = net.metrics();
 ///
-/// The class is final, and its per-flit RouterEnvironment callbacks are
-/// defined in this header, so the sharded engine's environment, which
-/// forwards its own routers' effects to them, binds and inlines them.
-class Network final : public RouterEnvironment {
+/// The network is the routers' environment (the RouterEnv callbacks in
+/// router.hpp). Its per-flit callbacks and the phase-4 step are defined
+/// in this header, so each engine's stepping loop, and the sharded
+/// engine's environment, which forwards its own routers' effects to them,
+/// bind and inline them.
+class Network {
  public:
   Network(const Topology& topo, const NocConfig& config,
           PowerController& policy, const PowerModel& power,
@@ -110,8 +112,7 @@ class Network final : public RouterEnvironment {
   /// The shared simulation context threaded through every phase.
   const SimContext& context() const { return ctx_; }
 
-  /// Kernel iterations executed (distinct visits to an event time; a tick
-  /// can be revisited when a same-tick wake lands behind the sweep).
+  /// Kernel iterations executed (visits to an event time).
   /// Engine-specific bookkeeping: under the sharded engine this is the sum
   /// of per-shard iteration counts, not the sequential iteration count.
   std::uint64_t kernel_events() const { return kernel_events_; }
@@ -170,20 +171,17 @@ class Network final : public RouterEnvironment {
   /// to the uninterrupted run, under any engine.
   void restore_checkpoint(CkptReader& r);
 
-  // --- RouterEnvironment ---
-  bool downstream_can_accept(RouterId r) const override {
+  // --- Router environment (RouterEnv, router.hpp) ---
+  bool downstream_can_accept(RouterId r) const {
     return router(r).state() == RouterState::kActive;
   }
-  void secure(RouterId r, Tick now) override {
+  void secure(RouterId r, Tick now) {
     Router& target = router(r);
     target.mark_secured(now);
-    if (target.state() == RouterState::kInactive &&
-        ctx_.policy->gating_enabled())
-      wake(r, now);
+    if (gating_ && target.state() == RouterState::kInactive) wake(r, now);
   }
-  void punch_ahead(RouterId r, RouterId dst, Tick now) override;
-  void deliver(RouterId r, int port, int vc, Tick arrival,
-               const Flit& flit) override {
+  void punch_ahead(RouterId r, RouterId dst, Tick now);
+  void deliver(RouterId r, int port, int vc, Tick arrival, const Flit& flit) {
     Router& target = router(r);
     if (ctx_.injector != nullptr) {
       // Link fault: bit flips during this hop's link traversal. The payload
@@ -192,21 +190,16 @@ class Network final : public RouterEnvironment {
       if (const std::uint16_t mask = ctx_.injector->corrupt_link_flit()) {
         Flit damaged = flit;
         damaged.crc = static_cast<std::uint16_t>(damaged.crc ^ mask);
-        target.flit_in(port).push({arrival, vc, damaged});
-        target.note_inbound();
+        target.receive(port, vc, arrival, damaged);
         return;
       }
     }
-    target.flit_in(port).push({arrival, vc, flit});
-    target.note_inbound();
+    target.receive(port, vc, arrival, flit);
   }
-  void send_credit(RouterId upstream, int port, int vc,
-                   Tick arrival) override {
-    Router& up = router(upstream);
-    up.credit_in(port).push({arrival, port, vc});
-    up.note_credit();
+  void send_credit(RouterId upstream, int port, int vc, Tick arrival) {
+    router(upstream).receive_credit(port, vc, arrival);
   }
-  void eject(RouterId r, const Flit& flit, Tick now) override;
+  void eject(RouterId r, const Flit& flit, Tick now);
 
  private:
   /// Runs the trace on the indexed or the sharded engine, between
@@ -283,10 +276,10 @@ class Network final : public RouterEnvironment {
                            bool punch);
   /// Phase 4, one router: account, pre-step, inject, pipeline against
   /// `env`, post-step, gate check, advance clock. Phase 4 is defined here,
-  /// in the header, so each engine's translation unit inlines its hottest
-  /// loop.
-  void step_router(RouterId id, RouterEnvironment& env, Tick now,
-                   bool gating) {
+  /// in the header, and is a template over the environment, so each
+  /// engine's translation unit compiles its hottest loop as one unit.
+  template <RouterEnv Env>
+  void step_router(RouterId id, Env& env, Tick now, bool gating) {
     const auto i = static_cast<std::size_t>(id);
     Router& r = routers_[i];
     r.account_until(now);
@@ -302,21 +295,18 @@ class Network final : public RouterEnvironment {
     r.advance_clock(now);
   }
   /// Phase 4 over a lane: every clock edge due at `now`, in router-id
-  /// order, republishing each stepped edge and applying the lane's
-  /// same-tick wake rule. Returns the edges stepped.
-  std::uint64_t step_due(EventLane& lane, RouterEnvironment& env, Tick now,
-                         bool gating) {
+  /// order, republishing each stepped edge. A step never publishes an edge
+  /// at `now` (clocks advance by a period, wakeups by a positive penalty),
+  /// so the due list is final once collected. Returns the edges stepped.
+  template <RouterEnv Env>
+  std::uint64_t step_due(EventLane& lane, Env& env, Tick now, bool gating) {
     std::uint64_t steps = 0;
-    const std::vector<RouterId>& due = lane.take_due_edges(now);
-    // admit_same_tick can grow the due list while it is walked: index it.
-    for (std::size_t k = 0; k < due.size(); ++k) {
-      const RouterId id = due[k];
+    for (const RouterId id : lane.take_due_edges(now)) {
       const Router& r = routers_[static_cast<std::size_t>(id)];
       if (r.next_edge() > now) continue;  // rescheduled since collection
       step_router(id, env, now, gating);
       ++steps;
       if (r.next_edge() < kInfTick) lane.push_edge(id, r.next_edge());
-      lane.admit_same_tick(now, k);
     }
     return steps;
   }
@@ -335,6 +325,9 @@ class Network final : public RouterEnvironment {
   /// Shared services (config, clock, stats sinks, fault injector, hooks)
   /// threaded through the extracted phase TUs.
   SimContext ctx_;
+  /// The policy gates routers (PowerController::gating_enabled(), fixed
+  /// for a policy's lifetime): read by secure() on every call.
+  bool gating_ = false;
 
   std::vector<Router> routers_;
   std::vector<NetworkInterface> nics_;

@@ -5,7 +5,6 @@
 
 #include "src/ckpt/state_io.hpp"
 #include "src/common/error.hpp"
-#include "src/faults/crc.hpp"
 #include "src/noc/sim_context.hpp"
 
 namespace dozz {
@@ -68,56 +67,10 @@ int NetworkInterface::mature_responses(Tick now, std::vector<CoreId>* dsts) {
   return matured;
 }
 
-bool NetworkInterface::has_backlog() const {
-  for (const auto& q : queues_)
-    if (!q.empty()) return true;
-  return false;
-}
-
 std::size_t NetworkInterface::backlog() const {
   std::size_t total = 0;
   for (const auto& q : queues_) total += q.size();
   return total;
-}
-
-void NetworkInterface::inject_into(Router& router, Tick now) {
-  if (router.state() != RouterState::kActive || router.stalled(now)) return;
-  for (int slot = 0; slot < topo_->concentration(); ++slot) {
-    auto& queue = queues_[static_cast<std::size_t>(slot)];
-    if (queue.empty()) continue;
-    PendingPacket& packet = queue.front();
-    const int port = topo_->local_port(slot);
-
-    // Pick (or reuse) the VC carrying this packet: flits of one packet must
-    // stay in order in a single VC. A packet in progress resumes its VC
-    // (encoded as the low bits of sent progress is not enough, so we simply
-    // search for a VC with space when starting and remember it via
-    // packet_id-stable choice: the VC chosen when sent_flits == 0).
-    // New packets always start in dateline class 0 (torus deadlock rule).
-    const int injectable_vcs =
-        config_->vcs_per_port / std::max(1, config_->vc_classes);
-    int vc = static_cast<int>(packet.packet_id %
-                              static_cast<std::uint64_t>(injectable_vcs));
-    if (!router.local_vc_has_space(port, vc)) continue;
-
-    Flit flit;
-    flit.packet_id = packet.packet_id;
-    flit.src_core = packet.src_core;
-    flit.dst_core = packet.dst_core;
-    flit.dst_router = topo_->router_of_core(packet.dst_core);
-    flit.is_response = packet.is_response;
-    flit.packet_size_flits = packet.size_flits;
-    flit.is_head = (packet.sent_flits == 0);
-    flit.is_tail = (packet.sent_flits + 1 == packet.size_flits);
-    flit.inject_tick = packet.inject_tick;
-    if (config_->faults.enabled) {
-      flit.retry = packet.retry;
-      flit.crc = flit_crc(flit);
-    }
-    router.accept_local(port, vc, flit, now);
-    ++packet.sent_flits;
-    if (packet.sent_flits == packet.size_flits) queue.pop_front();
-  }
 }
 
 void NetworkInterface::on_ejected_packet(const Flit& tail) {

@@ -93,6 +93,11 @@ int resolve_shard_threads(const NocConfig& config);
 /// bit per slot in a 64-bit mask.
 inline constexpr int kMaxRouterSlots = 64;
 
+/// Most VCs a port can have: every router has at least five ports (four
+/// compass directions and one local), so validate() caps vcs_per_port at
+/// kMaxRouterSlots / 5 and a router's per-output VC state fits fixed arrays.
+inline constexpr int kMaxPortVcs = kMaxRouterSlots / (kNumDirections + 1);
+
 /// Throws ConfigError naming the first key of `config` no simulation on
 /// `topo` can run with: no virtual channels, VC classes that do not divide
 /// them, more VCs than kMaxRouterSlots leaves each of the topology's router

@@ -1,6 +1,6 @@
 // Per-event simulation phases shared by every kernel: trace injection and
 // NIC response maturation (per NIC, and over an event lane for the indexed
-// and sharded engines), and the RouterEnvironment callbacks that are not
+// and sharded engines), and the router-environment callbacks that are not
 // inline in network.hpp (Power Punch wakeups, ejection with the end-to-end
 // CRC check and retransmission scheduling). Router stepping (phase 4)
 // lives in network.hpp so each engine inlines it.

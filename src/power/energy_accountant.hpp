@@ -130,4 +130,34 @@ class EnergyAccountant {
   Tick inactive_ticks_ = 0;
 };
 
+inline void EnergyAccountant::add_state_time(PowerState state, VfMode mode,
+                                             Tick duration) {
+  if (duration == 0) return;
+  const double seconds = seconds_from_ticks(duration);
+  switch (state) {
+    case PowerState::kInactive:
+      inactive_ticks_ += duration;
+      return;  // Gated: supply at ground, no leakage.
+    case PowerState::kWakeup:
+      wakeup_ticks_ += duration;
+      break;
+    case PowerState::kActive:
+      active_ticks_ += duration;
+      break;
+  }
+  const std::size_t mi = static_cast<std::size_t>(mode_index(mode));
+  const double joules = static_w_[mi] * seconds;
+  static_j_ += joules;
+  wall_static_j_ += joules / eff_[mi];
+}
+
+inline void EnergyAccountant::add_hop(VfMode mode) {
+  ++hops_;
+  const std::size_t mi = static_cast<std::size_t>(mode_index(mode));
+  ++hops_per_mode_[mi];
+  const double joules = hop_j_[mi];
+  dynamic_j_ += joules;
+  wall_dynamic_j_ += joules / eff_[mi];
+}
+
 }  // namespace dozz

@@ -7,23 +7,9 @@
 namespace dozz {
 
 namespace {
-// Periods: 1 GHz -> 9000 ticks, 1.5 GHz -> 6000, 1.8 GHz -> 5000,
-// 2 GHz -> 4500, 2.25 GHz -> 4000 (tick = 1/9000 ns).
-constexpr std::array<VfPoint, kNumVfModes> kPoints = {{
-    {0.8, 1.00, 9000},
-    {0.9, 1.50, 6000},
-    {1.0, 1.80, 5000},
-    {1.1, 2.00, 4500},
-    {1.2, 2.25, 4000},
-}};
-
 constexpr std::array<VfMode, kNumVfModes> kAllModes = {
     VfMode::kV08, VfMode::kV09, VfMode::kV10, VfMode::kV11, VfMode::kV12};
 }  // namespace
-
-const VfPoint& vf_point(VfMode mode) {
-  return kPoints[static_cast<std::size_t>(mode_index(mode))];
-}
 
 const std::array<VfMode, kNumVfModes>& all_vf_modes() { return kAllModes; }
 

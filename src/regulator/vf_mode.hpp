@@ -43,8 +43,25 @@ struct VfPoint {
   Tick period_ticks;      ///< Clock period in simulation ticks (1/9000 ns).
 };
 
+/// Index 0..4 for dense arrays.
+constexpr int mode_index(VfMode mode) { return static_cast<int>(mode); }
+
+namespace detail {
+// Periods: 1 GHz -> 9000 ticks, 1.5 GHz -> 6000, 1.8 GHz -> 5000,
+// 2 GHz -> 4500, 2.25 GHz -> 4000 (tick = 1/9000 ns).
+inline constexpr std::array<VfPoint, kNumVfModes> kVfPoints = {{
+    {0.8, 1.00, 9000},
+    {0.9, 1.50, 6000},
+    {1.0, 1.80, 5000},
+    {1.1, 2.00, 4500},
+    {1.2, 2.25, 4000},
+}};
+}  // namespace detail
+
 /// Electrical/timing parameters for a mode.
-const VfPoint& vf_point(VfMode mode);
+inline const VfPoint& vf_point(VfMode mode) {
+  return detail::kVfPoints[static_cast<std::size_t>(mode_index(mode))];
+}
 
 /// All modes in ascending voltage order.
 const std::array<VfMode, kNumVfModes>& all_vf_modes();
@@ -54,9 +71,6 @@ int mode_number(VfMode mode);
 
 /// Inverse of mode_number; requires number in [3, 7].
 VfMode mode_from_number(int number);
-
-/// Index 0..4 for dense arrays.
-constexpr int mode_index(VfMode mode) { return static_cast<int>(mode); }
 
 /// Mode from a dense index 0..4.
 VfMode mode_from_index(int index);

@@ -49,23 +49,24 @@ class TorusXyRouting final : public RoutingPolicy {
 FlatRouteTable::FlatRouteTable(const Topology& topo,
                                const RoutingPolicy& policy)
     : n_(topo.num_routers()) {
-  const std::size_t cells =
-      static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_);
-  dir_.assign(cells, kEject);
-  hop_.assign(cells, 0);
+  neighbor_.assign(static_cast<std::size_t>(n_) * kNumDirections, -1);
+  for (RouterId r = 0; r < n_; ++r)
+    for (int d = 0; d < kNumDirections; ++d)
+      neighbor_[static_cast<std::size_t>(r) * kNumDirections +
+                static_cast<std::size_t>(d)] =
+          topo.neighbor(r, static_cast<Direction>(d)).value_or(-1);
+  dir_.assign(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_),
+              kEject);
   for (RouterId current = 0; current < n_; ++current) {
     for (RouterId dest = 0; dest < n_; ++dest) {
-      const std::size_t i = index(current, dest);
-      if (current == dest) {
-        hop_[i] = current;
-        continue;
-      }
+      if (current == dest) continue;
       const std::optional<Direction> d = policy.route(topo, current, dest);
       DOZZ_ASSERT(d.has_value());
-      const std::optional<RouterId> nh = topo.neighbor(current, *d);
-      DOZZ_ASSERT(nh.has_value());
-      dir_[i] = static_cast<std::uint8_t>(*d);
-      hop_[i] = *nh;
+      // Every hop the table names must exist.
+      DOZZ_ASSERT(neighbor_[static_cast<std::size_t>(current) *
+                                kNumDirections +
+                            static_cast<std::size_t>(*d)] >= 0);
+      dir_[index(current, dest)] = static_cast<std::uint8_t>(*d);
     }
   }
 }

@@ -38,13 +38,13 @@ class RoutingPolicy {
                                          RouterId dest) const = 0;
 };
 
-/// Dense R×R next-hop tables precomputed from a RoutingPolicy. Routing is
+/// A dense R×R next-hop table precomputed from a RoutingPolicy. Routing is
 /// deterministic and stateless, so every (current, dest) decision can be
 /// materialized once per simulation instead of paying a virtual `route`
 /// dispatch (and its coordinate arithmetic) per flit and per Power Punch
-/// path hop. Two flat arrays indexed by current * R + dest:
-///   dir: the output Direction as uint8_t, or kEject when current == dest
-///   hop: the neighbor RouterId one step along dir (current when ejecting)
+/// path hop. One byte per pair, indexed by current * R + dest: the output
+/// Direction, or kEject when current == dest. The next router one step
+/// along it comes from an R×4 neighbour table.
 class FlatRouteTable {
  public:
   /// Direction slot meaning "current == dest, eject locally".
@@ -60,7 +60,9 @@ class FlatRouteTable {
   /// Next router one minimal hop from `current` toward `dest`; returns
   /// `current` itself when current == dest.
   RouterId next_hop(RouterId current, RouterId dest) const {
-    return hop_[index(current, dest)];
+    const std::uint8_t d = dir(current, dest);
+    if (d == kEject) return current;
+    return neighbor_[static_cast<std::size_t>(current) * kNumDirections + d];
   }
 
   int num_routers() const { return n_; }
@@ -73,7 +75,9 @@ class FlatRouteTable {
 
   int n_;
   std::vector<std::uint8_t> dir_;
-  std::vector<RouterId> hop_;
+  /// neighbor_[r * 4 + d]: the router one hop from `r` in direction `d`,
+  /// or -1 where the mesh ends (no route uses that slot).
+  std::vector<RouterId> neighbor_;
 };
 
 /// Singleton policy for an enum value; never fails.

@@ -6,16 +6,6 @@
 
 namespace dozz {
 
-Direction opposite(Direction d) {
-  switch (d) {
-    case Direction::kNorth: return Direction::kSouth;
-    case Direction::kEast: return Direction::kWest;
-    case Direction::kSouth: return Direction::kNorth;
-    case Direction::kWest: return Direction::kEast;
-  }
-  DOZZ_ASSERT(false);
-}
-
 const char* direction_name(Direction d) {
   switch (d) {
     case Direction::kNorth: return "N";
@@ -26,26 +16,11 @@ const char* direction_name(Direction d) {
   DOZZ_ASSERT(false);
 }
 
-bool same_dimension(Direction a, Direction b) {
-  const bool a_x = a == Direction::kEast || a == Direction::kWest;
-  const bool b_x = b == Direction::kEast || b == Direction::kWest;
-  return a_x == b_x;
-}
-
 Topology::Topology(int width, int height, int concentration, std::string name,
                    bool wrap)
     : width_(width), height_(height), concentration_(concentration),
       name_(std::move(name)), wrap_(wrap) {
   DOZZ_REQUIRE(width >= 2 && height >= 2 && concentration >= 1);
-}
-
-int Topology::local_port(int slot) const {
-  DOZZ_REQUIRE(slot >= 0 && slot < concentration_);
-  return kNumDirections + slot;
-}
-
-bool Topology::is_local_port(int port) const {
-  return port >= kNumDirections && port < ports_per_router();
 }
 
 int Topology::x_of(RouterId r) const {
@@ -101,16 +76,6 @@ bool Topology::is_wrap_link(RouterId r, Direction d) const {
     case Direction::kEast: return x == width_ - 1;
   }
   DOZZ_ASSERT(false);
-}
-
-RouterId Topology::router_of_core(CoreId core) const {
-  DOZZ_REQUIRE(core >= 0 && core < num_cores());
-  return core / concentration_;
-}
-
-int Topology::local_slot_of_core(CoreId core) const {
-  DOZZ_REQUIRE(core >= 0 && core < num_cores());
-  return core % concentration_;
 }
 
 CoreId Topology::core_at(RouterId r, int slot) const {

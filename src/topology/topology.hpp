@@ -4,10 +4,13 @@
 // wake-up of downstream routers.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
+
+#include "src/common/error.hpp"
 
 namespace dozz {
 
@@ -25,7 +28,15 @@ enum class Direction : std::uint8_t {
 inline constexpr int kNumDirections = 4;
 
 /// Opposite compass direction (the port a flit arrives on downstream).
-Direction opposite(Direction d);
+inline Direction opposite(Direction d) {
+  switch (d) {
+    case Direction::kNorth: return Direction::kSouth;
+    case Direction::kEast: return Direction::kWest;
+    case Direction::kSouth: return Direction::kNorth;
+    case Direction::kWest: return Direction::kEast;
+  }
+  DOZZ_ASSERT(false);
+}
 
 /// Short name ("N", "E", "S", "W").
 const char* direction_name(Direction d);
@@ -41,7 +52,11 @@ enum class RoutingAlgorithm : std::uint8_t {
 };
 
 /// True when both directions lie in the same dimension (E/W or N/S).
-bool same_dimension(Direction a, Direction b);
+inline bool same_dimension(Direction a, Direction b) {
+  const bool a_x = a == Direction::kEast || a == Direction::kWest;
+  const bool b_x = b == Direction::kEast || b == Direction::kWest;
+  return a_x == b_x;
+}
 
 /// A grid topology with per-router core concentration. concentration == 1
 /// gives the plain mesh; concentration == 4 the concentrated mesh. With
@@ -64,10 +79,15 @@ class Topology {
   int ports_per_router() const { return kNumDirections + concentration_; }
 
   /// Port index of the local port serving `slot` (0..concentration-1).
-  int local_port(int slot) const;
+  int local_port(int slot) const {
+    DOZZ_REQUIRE(slot >= 0 && slot < concentration_);
+    return kNumDirections + slot;
+  }
 
   /// True if `port` is a local (core-facing) port.
-  bool is_local_port(int port) const;
+  bool is_local_port(int port) const {
+    return port >= kNumDirections && port < ports_per_router();
+  }
 
   int x_of(RouterId r) const;
   int y_of(RouterId r) const;
@@ -83,8 +103,14 @@ class Topology {
   /// dateline where packets must move to the escape VC class.
   bool is_wrap_link(RouterId r, Direction d) const;
 
-  RouterId router_of_core(CoreId core) const;
-  int local_slot_of_core(CoreId core) const;
+  RouterId router_of_core(CoreId core) const {
+    DOZZ_REQUIRE(core >= 0 && core < num_cores());
+    return core / concentration_;
+  }
+  int local_slot_of_core(CoreId core) const {
+    DOZZ_REQUIRE(core >= 0 && core < num_cores());
+    return core % concentration_;
+  }
   CoreId core_at(RouterId r, int slot) const;
 
   /// XY dimension-order routing: the direction a packet at `current` takes

@@ -16,10 +16,13 @@ void Trace::add(TraceEntry entry) {
 }
 
 void Trace::sort_by_time() {
-  std::stable_sort(entries_.begin(), entries_.end(),
-                   [](const TraceEntry& a, const TraceEntry& b) {
-                     return a.inject_ns < b.inject_ns;
-                   });
+  const auto earlier = [](const TraceEntry& a, const TraceEntry& b) {
+    return a.inject_ns < b.inject_ns;
+  };
+  // Generators mostly emit in time order already; a stable sort of a
+  // sorted range is the identity, so skip it.
+  if (std::is_sorted(entries_.begin(), entries_.end(), earlier)) return;
+  std::stable_sort(entries_.begin(), entries_.end(), earlier);
 }
 
 double Trace::duration_ns() const {

@@ -205,6 +205,103 @@ TEST(CheckpointWrappedRings, MidTrafficSaveRestoresBitIdentically) {
   expect_epoch_logs_identical(full.epoch_log, net.epoch_log());
 }
 
+/// Moves every router between the slowest and the fastest mode at each
+/// window boundary: slow after even windows, fast after odd ones.
+class FlipModesPolicy final : public PowerController {
+ public:
+  std::string name() const override { return "flip-modes"; }
+  bool gating_enabled() const override { return false; }
+  VfMode select_mode(RouterId, const EpochFeatures&) override {
+    return slow_ ? kBottomMode : kTopMode;
+  }
+  bool uses_ml() const override { return false; }
+  void on_epoch_begin(std::uint64_t ended_epoch_index) override {
+    slow_ = ended_epoch_index % 2 == 0;
+  }
+
+ private:
+  bool slow_ = false;
+};
+
+/// True when some input port has two flits in flight on different VCs
+/// that arrive at the same tick.
+bool has_in_flight_tie(const Network& net) {
+  for (RouterId r = 0; r < net.topology().num_routers(); ++r) {
+    for (int port = 0; port < kNumDirections; ++port) {
+      const std::vector<TimedFlit> flits = net.router(r).in_flight_flits(port);
+      for (std::size_t i = 0; i < flits.size(); ++i)
+        for (std::size_t j = i + 1; j < flits.size(); ++j)
+          if (flits[i].arrival == flits[j].arrival &&
+              flits[i].vc != flits[j].vc)
+            return true;
+    }
+  }
+  return false;
+}
+
+// A switch to a faster mode shortens an upstream router's link delay. With
+// 14-cycle links and 24-cycle windows, a flit sent just before a switch to
+// the fastest mode and one sent right after its stall arrive at one port
+// at the same tick, on different VCs. The checkpoint must write a port's
+// in-flight flits in send order and the restore must rebuild that order:
+// each router writes back the bytes it was restored from, and the resumed
+// run ends bit-identical to the uninterrupted one.
+TEST(CheckpointInFlightTies, EqualArrivalsOnTwoVcsRoundTrip) {
+  SimSetup setup;
+  setup.duration_cycles = 2000;
+  setup.noc.epoch_cycles = 24;
+  setup.noc.link_latency_cycles = 14;
+  setup.noc.auto_response = false;
+  setup.noc.collect_epoch_log = true;
+  const Topology topo = setup.make_topology();
+  const Trace trace = generate_synthetic_trace(
+      topo, uniform_pattern(topo.num_cores()), /*rate=*/0.15,
+      /*cycles=*/2000, /*seed=*/7);
+  SimoLdoRegulator regulator;
+  const PowerModel power;
+
+  FlipModesPolicy full_policy;
+  Network full(topo, setup.noc, full_policy, power, regulator);
+  full.run(trace, setup.end_tick());
+
+  CkptWriter w;
+  std::vector<std::vector<unsigned char>> router_bytes;
+  {
+    FlipModesPolicy policy;
+    Network net(topo, setup.noc, policy, power, regulator);
+    net.set_epoch_hook([&](Network& n, Tick, std::uint64_t) {
+      if (!has_in_flight_tie(n)) return true;
+      n.save_checkpoint(w);
+      for (RouterId r = 0; r < topo.num_routers(); ++r) {
+        CkptWriter rw;
+        n.router(r).save_state(rw);
+        router_bytes.push_back(rw.bytes());
+      }
+      return false;
+    });
+    net.run(trace, setup.end_tick());
+    ASSERT_TRUE(net.interrupted())
+        << "no port held two same-tick arrivals at a window boundary";
+  }
+
+  FlipModesPolicy policy;
+  Network resumed(topo, setup.noc, policy, power, regulator);
+  const auto& payload = w.bytes();
+  CkptReader r(payload.data(), payload.size(), "<memory>");
+  resumed.restore_checkpoint(r);
+  r.expect_end();
+  for (RouterId id = 0; id < topo.num_routers(); ++id) {
+    CkptWriter rw;
+    resumed.router(id).save_state(rw);
+    EXPECT_EQ(rw.bytes(), router_bytes[static_cast<std::size_t>(id)])
+        << "router " << id << " re-saved different bytes";
+  }
+  resumed.run(trace, setup.end_tick());
+  EXPECT_FALSE(resumed.interrupted());
+  expect_metrics_identical(full.metrics(), resumed.metrics());
+  expect_epoch_logs_identical(full.epoch_log(), resumed.epoch_log());
+}
+
 // The file layer (framing + atomic write) round-trips through disk via the
 // supervised runner: interrupt with the stop flag, then resume from the
 // file, comparing against the uninterrupted run.

@@ -9,6 +9,7 @@
 //   DOZZ_REGEN_GOLDEN=1 ./dozz_tests --gtest_filter='GoldenReport*'
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -81,7 +82,14 @@ std::optional<std::string> read_file(const std::string& path) {
 struct GoldenCase {
   PolicyKind kind;
   bool cmesh;
+  // gtest prints a parameter type without a printer as its raw bytes, and
+  // ctest names each case after that print. Spelling out the tail bytes,
+  // zeroed, leaves no padding to print, so `--gtest_list_tests` and the
+  // ctest names are the same in every build.
+  std::uint8_t zero[3] = {};
 };
+static_assert(sizeof(GoldenCase) == sizeof(PolicyKind) + 4,
+              "GoldenCase must have no padding bytes");
 
 class GoldenReport : public ::testing::TestWithParam<GoldenCase> {};
 

@@ -1,5 +1,5 @@
-// Unit tests for NoC building blocks: VCs, input ports, timed channels and
-// the utilization->mode threshold logic.
+// Unit tests for NoC building blocks: VCs, timed channels and the
+// utilization->mode threshold logic.
 #include <gtest/gtest.h>
 
 #include "src/noc/channel.hpp"
@@ -50,19 +50,8 @@ TEST(VirtualChannel, AllocationLifecycle) {
   EXPECT_EQ(vc.out_port(), -1);
 }
 
-TEST(InputPort, OccupancyAcrossVcs) {
-  InputPort port(2, 4);
-  EXPECT_TRUE(port.all_empty());
-  port.vc(0).push(make_flit(1, true, true));
-  port.vc(1).push(make_flit(2, true, false));
-  port.vc(1).push(make_flit(2, false, true));
-  EXPECT_FALSE(port.all_empty());
-  EXPECT_EQ(port.total_occupancy(), 3);
-  EXPECT_EQ(port.total_capacity(), 8);
-}
-
 TEST(TimedChannel, MaturesByArrivalTime) {
-  FlitChannel ch;
+  TimedChannel<TimedFlit> ch;
   ch.push({100, 0, make_flit(1, true, true)});
   ch.push({200, 1, make_flit(2, true, true)});
   EXPECT_FALSE(ch.ready(99));

@@ -121,7 +121,7 @@ TEST(RingBuffer, IndexingFrontBackAfterWrap) {
 }
 
 TEST(TimedChannel, FifoWithMaturityAndReserve) {
-  FlitChannel ch;
+  TimedChannel<TimedFlit> ch;
   ch.reserve(8);
   for (int i = 0; i < 6; ++i) {
     TimedFlit t;

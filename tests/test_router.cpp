@@ -12,21 +12,20 @@ namespace dozz {
 namespace {
 
 /// Minimal environment that records interactions.
-class RecordingEnv : public RouterEnvironment {
+class RecordingEnv {
  public:
-  bool downstream_can_accept(RouterId) const override { return accept; }
-  void secure(RouterId r, Tick) override { secured.push_back(r); }
-  void punch_ahead(RouterId r, RouterId dst, Tick) override {
+  bool downstream_can_accept(RouterId) const { return accept; }
+  void secure(RouterId r, Tick) { secured.push_back(r); }
+  void punch_ahead(RouterId r, RouterId dst, Tick) {
     punches.push_back({r, dst});
   }
-  void deliver(RouterId r, int port, int vc, Tick arrival,
-               const Flit& flit) override {
+  void deliver(RouterId r, int port, int vc, Tick arrival, const Flit& flit) {
     delivered.push_back({r, port, vc, arrival, flit});
   }
-  void send_credit(RouterId up, int port, int vc, Tick arrival) override {
+  void send_credit(RouterId up, int port, int vc, Tick arrival) {
     credits.push_back({up, port, vc, arrival});
   }
-  void eject(RouterId r, const Flit& flit, Tick) override {
+  void eject(RouterId r, const Flit& flit, Tick) {
     ejected.push_back({r, flit});
   }
 
@@ -101,8 +100,7 @@ TEST(Router, ForwardsFlitTowardDestination) {
   f.env.delivered.clear();
   Tick t = r.period();
   f.step(r, t);  // nothing yet
-  r.flit_in(static_cast<int>(Direction::kWest)).push({t, 0, f.flit_to(7)});
-  r.note_inbound();
+  r.receive(static_cast<int>(Direction::kWest), 0, t, f.flit_to(7));
   for (int i = 0; i < 5 && f.env.delivered.empty(); ++i) {
     t = r.next_edge();
     f.step(r, t);
@@ -118,12 +116,44 @@ TEST(Router, ForwardsFlitTowardDestination) {
   EXPECT_EQ(f.env.credits[0].port, static_cast<int>(Direction::kEast));
 }
 
+TEST(Router, DeliveredFlitIsInvisibleUntilItsArrivalEdge) {
+  RouterFixture f;
+  Router r = f.make(5);  // period 4000: edges at 4000, 8000, 12000, ...
+  f.step(r, 4000);
+  const int west = static_cast<int>(Direction::kWest);
+  // One flit lands between two edges, one exactly on an edge.
+  r.receive(west, 0, 10000, f.flit_to(7));
+  r.receive(west, 1, 16000, f.flit_to(6));
+  f.step(r, 8000);
+  // Still on the link: no occupancy, nothing routed, but inbound work
+  // keeps the router from gating.
+  EXPECT_EQ(r.buffered_flits(), 0);
+  EXPECT_EQ(r.epoch_occupancy_samples(), 0u);
+  EXPECT_TRUE(f.env.secured.empty());
+  EXPECT_TRUE(f.env.punches.empty());
+  EXPECT_FALSE(r.can_gate(8000));
+  ASSERT_EQ(r.in_flight_flits(west).size(), 2u);
+
+  f.step(r, 12000);  // the first edge at or after 10000
+  EXPECT_EQ(r.buffered_flits(), 1);
+  EXPECT_EQ(r.epoch_occupancy_samples(), 1u);
+  EXPECT_TRUE(f.env.delivered.empty());  // eligible one cycle later
+  ASSERT_EQ(r.in_flight_flits(west).size(), 1u);
+  EXPECT_EQ(r.in_flight_flits(west)[0].vc, 1);
+
+  f.step(r, 16000);  // the second flit arrives on this very edge
+  EXPECT_TRUE(r.in_flight_flits(west).empty());
+  ASSERT_EQ(f.env.delivered.size(), 1u);  // the first one left
+  EXPECT_EQ(f.env.delivered[0].flit.dst_router, 7);
+  EXPECT_EQ(r.buffered_flits(), 1);  // the second one is visible
+  EXPECT_EQ(r.epoch_occupancy_samples(), 2u);
+}
+
 TEST(Router, EjectsAtDestination) {
   RouterFixture f;
   Router r = f.make(5);
   Tick t = r.period();
-  r.flit_in(0).push({t, 0, f.flit_to(5)});
-  r.note_inbound();
+  r.receive(0, 0, t, f.flit_to(5));
   for (int i = 0; i < 5 && f.env.ejected.empty(); ++i) {
     t = r.next_edge();
     f.step(r, t);
@@ -137,8 +167,7 @@ TEST(Router, HoldsFlitWhenDownstreamCannotAccept) {
   f.env.accept = false;
   Router r = f.make(5);
   Tick t = r.period();
-  r.flit_in(0).push({t, 0, f.flit_to(7)});
-  r.note_inbound();
+  r.receive(0, 0, t, f.flit_to(7));
   for (int i = 0; i < 10; ++i) {
     t = r.next_edge();
     f.step(r, t);
@@ -159,8 +188,7 @@ TEST(Router, PunchesTwoHopsAhead) {
   RouterFixture f;
   Router r = f.make(5);
   Tick t = r.period();
-  r.flit_in(0).push({t, 0, f.flit_to(7)});
-  r.note_inbound();
+  r.receive(0, 0, t, f.flit_to(7));
   for (int i = 0; i < 5 && f.env.punches.empty(); ++i) {
     t = r.next_edge();
     f.step(r, t);
@@ -295,8 +323,7 @@ TEST(Router, ModeSwitchAppliesStallAndNewPeriod) {
   EXPECT_TRUE(r.stalled(t + 7u * 9000u - 1));
   EXPECT_FALSE(r.stalled(t + 7u * 9000u));
   // While stalled, no pipeline activity happens.
-  r.flit_in(0).push({t, 0, f.flit_to(7)});
-  r.note_inbound();
+  r.receive(0, 0, t, f.flit_to(7));
   Tick t2 = r.next_edge();
   f.step(r, t2);
   EXPECT_TRUE(f.env.delivered.empty());
@@ -352,8 +379,7 @@ TEST(Router, IbuSamplingReflectsOccupancy) {
   f.env.accept = false;  // trap the flit inside the router
   Router r = f.make(5);
   Tick t = r.period();
-  r.flit_in(0).push({t, 0, f.flit_to(7)});
-  r.note_inbound();
+  r.receive(0, 0, t, f.flit_to(7));
   // Enough cycles for the ~16-cycle congestion EMA to converge.
   for (int i = 0; i < 200; ++i) {
     t = r.next_edge();
