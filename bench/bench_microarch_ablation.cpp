@@ -47,10 +47,11 @@ int main() {
             make_benchmark_trace(setup, name, kCompressedFactor);
         BaselinePolicy baseline;
         const NetworkMetrics mb =
-            run_simulation_with_power(setup, baseline, trace, power).metrics;
+            run_simulation_controlled(setup, baseline, trace, power, {})
+                .metrics;
         auto dozz = make_policy(PolicyKind::kDozzNoc, routers, weights);
         const NetworkMetrics md =
-            run_simulation_with_power(setup, *dozz, trace, power).metrics;
+            run_simulation_controlled(setup, *dozz, trace, power, {}).metrics;
         p99 += mb.latency_p99_ns;
         static_save += 1.0 - md.static_energy_j / mb.static_energy_j;
         off += md.off_time_fraction;

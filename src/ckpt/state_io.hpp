@@ -1,10 +1,11 @@
-// Inline serializers for the small NoC value types that appear inside
-// router, NIC and network checkpoints. Included from .cpp files only
-// (router.cpp, nic.cpp, network.cpp, checkpoint.cpp); the public headers
-// stay free of serialization details.
+// Checkpoint walks for the small NoC value types that appear inside
+// router, NIC and network checkpoints. Each walk is one template that both
+// directions run (serial.hpp). Included from .cpp files only (router.cpp,
+// nic.cpp, network_ckpt.cpp); the public headers stay free of
+// serialization details.
 #pragma once
 
-#include <deque>
+#include <type_traits>
 
 #include "src/ckpt/serial.hpp"
 #include "src/common/stats.hpp"
@@ -15,144 +16,81 @@
 namespace dozz {
 namespace ckpt {
 
-inline void save_flit(CkptWriter& w, const Flit& f) {
-  w.u64(f.packet_id);
-  w.i32(f.src_core);
-  w.i32(f.dst_core);
-  w.i32(f.dst_router);
-  w.boolean(f.is_head);
-  w.boolean(f.is_tail);
-  w.boolean(f.is_response);
-  w.u8(f.vc_class);
-  w.u16(f.packet_size_flits);
-  w.u64(f.inject_tick);
-  w.u64(f.enter_tick);
-  w.u64(f.eligible_tick);
-  w.u16(f.hops);
-  w.u16(f.crc);
-  w.u8(f.retry);
+/// The record a walk visits: read-only when saving, written when loading.
+template <typename Io, typename T>
+using Rec = std::conditional_t<Io::kLoading, T&, const T&>;
+
+template <typename Io>
+void walk(Io& io, Rec<Io, Flit> f) {
+  io.u64(f.packet_id);
+  io.i32(f.src_core);
+  io.i32(f.dst_core);
+  io.i32(f.dst_router);
+  io.boolean(f.is_head);
+  io.boolean(f.is_tail);
+  io.boolean(f.is_response);
+  io.u8(f.vc_class);
+  io.u16(f.packet_size_flits);
+  io.u64(f.inject_tick);
+  io.u64(f.enter_tick);
+  io.u64(f.eligible_tick);
+  io.u16(f.hops);
+  io.u16(f.crc);
+  io.u8(f.retry);
 }
 
-inline Flit load_flit(CkptReader& r) {
-  Flit f;
-  f.packet_id = r.u64();
-  f.src_core = r.i32();
-  f.dst_core = r.i32();
-  f.dst_router = r.i32();
-  f.is_head = r.boolean();
-  f.is_tail = r.boolean();
-  f.is_response = r.boolean();
-  f.vc_class = r.u8();
-  f.packet_size_flits = r.u16();
-  f.inject_tick = r.u64();
-  f.enter_tick = r.u64();
-  f.eligible_tick = r.u64();
-  f.hops = r.u16();
-  f.crc = r.u16();
-  f.retry = r.u8();
-  return f;
+template <typename Io>
+void walk(Io& io, Rec<Io, PendingPacket> p) {
+  io.u64(p.packet_id);
+  io.i32(p.src_core);
+  io.i32(p.dst_core);
+  io.boolean(p.is_response);
+  io.u16(p.size_flits);
+  io.u64(p.inject_tick);
+  io.u16(p.sent_flits);
+  io.u8(p.retry);
 }
 
-inline void save_pending_packet(CkptWriter& w, const PendingPacket& p) {
-  w.u64(p.packet_id);
-  w.i32(p.src_core);
-  w.i32(p.dst_core);
-  w.boolean(p.is_response);
-  w.u16(p.size_flits);
-  w.u64(p.inject_tick);
-  w.u16(p.sent_flits);
-  w.u8(p.retry);
+template <typename Io>
+void walk(Io& io, Rec<Io, TimedFlit> t) {
+  io.u64(t.arrival);
+  io.i32(t.vc);
+  walk(io, t.flit);
 }
 
-inline PendingPacket load_pending_packet(CkptReader& r) {
-  PendingPacket p;
-  p.packet_id = r.u64();
-  p.src_core = r.i32();
-  p.dst_core = r.i32();
-  p.is_response = r.boolean();
-  p.size_flits = r.u16();
-  p.inject_tick = r.u64();
-  p.sent_flits = r.u16();
-  p.retry = r.u8();
-  return p;
+template <typename Io>
+void walk(Io& io, Rec<Io, TimedCredit> t) {
+  io.u64(t.arrival);
+  io.i32(t.port);
+  io.i32(t.vc);
 }
 
-inline void save_timed_flit(CkptWriter& w, const TimedFlit& t) {
-  w.u64(t.arrival);
-  w.i32(t.vc);
-  save_flit(w, t.flit);
+template <typename Io>
+void walk(Io& io, Rec<Io, RunningStat> s) {
+  RunningStat::Raw raw = s.raw();
+  io.u64(raw.n);
+  io.f64(raw.mean);
+  io.f64(raw.m2);
+  io.f64(raw.min);
+  io.f64(raw.max);
+  if constexpr (Io::kLoading) s.restore(raw);
 }
 
-inline TimedFlit load_timed_flit(CkptReader& r) {
-  TimedFlit t;
-  t.arrival = r.u64();
-  t.vc = r.i32();
-  t.flit = load_flit(r);
-  return t;
-}
-
-inline void save_timed_credit(CkptWriter& w, const TimedCredit& t) {
-  w.u64(t.arrival);
-  w.i32(t.port);
-  w.i32(t.vc);
-}
-
-inline TimedCredit load_timed_credit(CkptReader& r) {
-  TimedCredit t;
-  t.arrival = r.u64();
-  t.port = r.i32();
-  t.vc = r.i32();
-  return t;
-}
-
-inline void save_running_stat(CkptWriter& w, const RunningStat& s) {
-  const RunningStat::Raw raw = s.raw();
-  w.u64(raw.n);
-  w.f64(raw.mean);
-  w.f64(raw.m2);
-  w.f64(raw.min);
-  w.f64(raw.max);
-}
-
-inline void load_running_stat(CkptReader& r, RunningStat* s) {
-  RunningStat::Raw raw;
-  raw.n = r.u64();
-  raw.mean = r.f64();
-  raw.m2 = r.f64();
-  raw.min = r.f64();
-  raw.max = r.f64();
-  s->restore(raw);
-}
-
-inline void save_energy_accountant(CkptWriter& w, const EnergyAccountant& a) {
-  const EnergyAccountant::Snapshot s = a.snapshot();
-  w.f64(s.static_j);
-  w.f64(s.dynamic_j);
-  w.f64(s.ml_j);
-  w.f64(s.wall_static_j);
-  w.f64(s.wall_dynamic_j);
-  w.u64(s.hops);
-  for (std::uint64_t h : s.hops_per_mode) w.u64(h);
-  w.u64(s.labels);
-  w.u64(s.active_ticks);
-  w.u64(s.wakeup_ticks);
-  w.u64(s.inactive_ticks);
-}
-
-inline void load_energy_accountant(CkptReader& r, EnergyAccountant* a) {
-  EnergyAccountant::Snapshot s;
-  s.static_j = r.f64();
-  s.dynamic_j = r.f64();
-  s.ml_j = r.f64();
-  s.wall_static_j = r.f64();
-  s.wall_dynamic_j = r.f64();
-  s.hops = r.u64();
-  for (auto& h : s.hops_per_mode) h = r.u64();
-  s.labels = r.u64();
-  s.active_ticks = r.u64();
-  s.wakeup_ticks = r.u64();
-  s.inactive_ticks = r.u64();
-  a->restore(s);
+template <typename Io>
+void walk(Io& io, Rec<Io, EnergyAccountant> a) {
+  EnergyAccountant::Snapshot s = a.snapshot();
+  io.f64(s.static_j);
+  io.f64(s.dynamic_j);
+  io.f64(s.ml_j);
+  io.f64(s.wall_static_j);
+  io.f64(s.wall_dynamic_j);
+  io.u64(s.hops);
+  for (auto& h : s.hops_per_mode) io.u64(h);
+  io.u64(s.labels);
+  io.u64(s.active_ticks);
+  io.u64(s.wakeup_ticks);
+  io.u64(s.inactive_ticks);
+  if constexpr (Io::kLoading) a.restore(s);
 }
 
 }  // namespace ckpt

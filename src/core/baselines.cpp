@@ -1,36 +1,34 @@
 #include "src/core/baselines.hpp"
 
 #include <algorithm>
+#include <variant>
 
 #include "src/ckpt/serial.hpp"
 #include "src/common/error.hpp"
 
 namespace dozz {
 
-void OracleDvfsPolicy::save_extra_state(CkptWriter& w) const {
-  w.u64(current_epoch_);
-}
-void OracleDvfsPolicy::load_extra_state(CkptReader& r) {
-  current_epoch_ = r.u64();
+void OracleDvfsPolicy::walk_extra_state(CkptIo io) {
+  std::visit([this](auto* io) { io->u64(current_epoch_); }, io);
 }
 
-void GlobalDvfsPolicy::save_extra_state(CkptWriter& w) const {
-  w.f64(window_max_);
-  w.f64(previous_max_);
-}
-void GlobalDvfsPolicy::load_extra_state(CkptReader& r) {
-  window_max_ = r.f64();
-  previous_max_ = r.f64();
+void GlobalDvfsPolicy::walk_extra_state(CkptIo io) {
+  std::visit(
+      [this](auto* io) {
+        io->f64(window_max_);
+        io->f64(previous_max_);
+      },
+      io);
 }
 
-void RouterParkingPolicy::save_extra_state(CkptWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(silent_epochs_.size()));
-  for (std::uint32_t c : silent_epochs_) w.u32(c);
-}
-void RouterParkingPolicy::load_extra_state(CkptReader& r) {
-  if (r.u32() != silent_epochs_.size())
-    r.fail("policy silent-epochs size mismatch");
-  for (auto& c : silent_epochs_) c = r.u32();
+void RouterParkingPolicy::walk_extra_state(CkptIo io) {
+  std::visit(
+      [this](auto* io) {
+        io->check(static_cast<std::uint32_t>(silent_epochs_.size()),
+                  "policy silent-epochs size mismatch");
+        for (std::uint32_t& c : silent_epochs_) io->u32(c);
+      },
+      io);
 }
 
 OracleDvfsPolicy::OracleDvfsPolicy(IbuTrajectory trajectory, bool gating,

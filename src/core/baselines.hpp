@@ -46,8 +46,7 @@ class OracleDvfsPolicy final : public PowerController {
   }
 
  protected:
-  void save_extra_state(CkptWriter& w) const override;
-  void load_extra_state(CkptReader& r) override;
+  void walk_extra_state(CkptIo io) override;
 
  private:
   IbuTrajectory trajectory_;
@@ -72,8 +71,7 @@ class GlobalDvfsPolicy final : public PowerController {
   void on_epoch_begin(std::uint64_t ended_epoch_index) override;
 
  protected:
-  void save_extra_state(CkptWriter& w) const override;
-  void load_extra_state(CkptReader& r) override;
+  void walk_extra_state(CkptIo io) override;
 
  private:
   bool gating_;
@@ -103,8 +101,7 @@ class RouterParkingPolicy final : public PowerController {
   bool uses_ml() const override { return false; }
 
  protected:
-  void save_extra_state(CkptWriter& w) const override;
-  void load_extra_state(CkptReader& r) override;
+  void walk_extra_state(CkptIo io) override;
 
  private:
   int silent_epochs_required_;

@@ -1,6 +1,7 @@
 #include "src/core/policies.hpp"
 
 #include <algorithm>
+#include <variant>
 
 #include "src/ckpt/serial.hpp"
 #include "src/common/error.hpp"
@@ -11,37 +12,28 @@ namespace {
 
 // The turbo rule's per-router mid-mode tallies are the only mutable state
 // an ML policy carries across epochs; the weights are construction wiring.
-void save_mid_counts(CkptWriter& w, const std::vector<std::uint32_t>& counts) {
-  w.u32(static_cast<std::uint32_t>(counts.size()));
-  for (std::uint32_t c : counts) w.u32(c);
-}
-
-void load_mid_counts(CkptReader& r, std::vector<std::uint32_t>* counts) {
-  if (r.u32() != counts->size()) r.fail("policy mid-count size mismatch");
-  for (auto& c : *counts) c = r.u32();
+void walk_mid_counts(CkptIo io, std::vector<std::uint32_t>& counts) {
+  std::visit(
+      [&counts](auto* io) {
+        io->check(static_cast<std::uint32_t>(counts.size()),
+                  "policy mid-count size mismatch");
+        for (std::uint32_t& c : counts) io->u32(c);
+      },
+      io);
 }
 
 }  // namespace
 
-void ReactiveDvfsPolicy::save_extra_state(CkptWriter& w) const {
-  save_mid_counts(w, mid_counts_);
-}
-void ReactiveDvfsPolicy::load_extra_state(CkptReader& r) {
-  load_mid_counts(r, &mid_counts_);
+void ReactiveDvfsPolicy::walk_extra_state(CkptIo io) {
+  walk_mid_counts(io, mid_counts_);
 }
 
-void ProactiveMlPolicy::save_extra_state(CkptWriter& w) const {
-  save_mid_counts(w, mid_counts_);
-}
-void ProactiveMlPolicy::load_extra_state(CkptReader& r) {
-  load_mid_counts(r, &mid_counts_);
+void ProactiveMlPolicy::walk_extra_state(CkptIo io) {
+  walk_mid_counts(io, mid_counts_);
 }
 
-void ProactiveExtendedMlPolicy::save_extra_state(CkptWriter& w) const {
-  save_mid_counts(w, mid_counts_);
-}
-void ProactiveExtendedMlPolicy::load_extra_state(CkptReader& r) {
-  load_mid_counts(r, &mid_counts_);
+void ProactiveExtendedMlPolicy::walk_extra_state(CkptIo io) {
+  walk_mid_counts(io, mid_counts_);
 }
 
 const std::vector<PolicyKind>& all_policy_kinds() {

@@ -82,8 +82,7 @@ class ReactiveDvfsPolicy final : public PowerController {
   bool uses_ml() const override { return false; }
 
  protected:
-  void save_extra_state(CkptWriter& w) const override;
-  void load_extra_state(CkptReader& r) override;
+  void walk_extra_state(CkptIo io) override;
 
  private:
   std::string name_;
@@ -109,8 +108,7 @@ class ProactiveMlPolicy final : public PowerController {
   const WeightVector& weights() const { return label_generate_.weights(); }
 
  protected:
-  void save_extra_state(CkptWriter& w) const override;
-  void load_extra_state(CkptReader& r) override;
+  void walk_extra_state(CkptIo io) override;
 
  private:
   PolicyKind kind_;
@@ -142,8 +140,7 @@ class ProactiveExtendedMlPolicy final : public PowerController {
   const WeightVector& weights() const { return weights_; }
 
  protected:
-  void save_extra_state(CkptWriter& w) const override;
-  void load_extra_state(CkptReader& r) override;
+  void walk_extra_state(CkptIo io) override;
 
  private:
   PolicyKind kind_;

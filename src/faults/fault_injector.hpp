@@ -70,7 +70,6 @@ class FaultInjector {
   /// the (identical) configuration on resume.
   Rng::State rng_state() const { return rng_.state(); }
   void set_rng_state(const Rng::State& state) { rng_.set_state(state); }
-  void set_stats(const FaultStats& stats) { stats_ = stats; }
 
  private:
   FaultConfig config_;

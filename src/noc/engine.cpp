@@ -8,7 +8,7 @@
 // epoch_phase.cpp.
 #include <algorithm>
 
-#include "src/ckpt/state_io.hpp"
+#include "src/ckpt/serial.hpp"
 #include "src/common/error.hpp"
 #include "src/noc/network.hpp"
 #include "src/noc/network_internal.hpp"
@@ -27,21 +27,21 @@ void Network::begin_run(const Trace& trace, Tick end_tick, bool drain) {
     // A restored run must continue the exact same workload: the checkpoint
     // records the run parameters and a trace fingerprint; any divergence
     // would silently break the bit-identity contract, so it is an error.
-    if (drain != expect_drain_)
+    if (drain != expect_.drain)
       throw CheckpointError(
           "checkpoint resume: drain mode mismatch (checkpoint was " +
-          std::string(expect_drain_ ? "drained" : "windowed") + ")");
-    if (end_tick != expect_end_tick_)
+          std::string(expect_.drain ? "drained" : "windowed") + ")");
+    if (end_tick != expect_.end_tick)
       throw CheckpointError(
           "checkpoint resume: run horizon mismatch (checkpoint had end tick " +
-          std::to_string(expect_end_tick_) + ", run has " +
+          std::to_string(expect_.end_tick) + ", run has " +
           std::to_string(end_tick) + ")");
-    if (trace.size() != expect_trace_size_ ||
-        internal::trace_fingerprint(trace) != expect_trace_hash_)
+    if (trace.size() != expect_.trace_size ||
+        internal::trace_fingerprint(trace) != expect_.trace_hash)
       throw CheckpointError(
           "checkpoint resume: trace mismatch (checkpoint was taken against "
           "trace '" +
-          expect_trace_name_ + "', " + std::to_string(expect_trace_size_) +
+          expect_.trace_name + "', " + std::to_string(expect_.trace_size) +
           " entries)");
   } else {
     trace_cursor_ = 0;

@@ -16,14 +16,14 @@
 // Why the windows are exact, not approximate: every cross-shard effect
 // carries an arrival tick at least one fastest-mode clock period
 // (kBaselinePeriodTicks) after the send — flit hops cost
-// link_latency_cycles >= 1 upstream periods, credits one period — so a
-// window of exactly that lookahead can never contain an event that
-// depends on in-window remote traffic. Applying the staged effects at
-// the barrier therefore leaves every link with the same contents, in
-// the same per-link order (each input port's flits and each output's
-// credits have exactly one sending router, hence one sending shard), as
-// the sequential engine: a delivered flit joins its VC's in-flight tail
-// before any tick at which it could mature.
+// link_latency_cycles upstream periods (validate() keeps it at one or
+// more), credits one period — so a window of exactly that lookahead can
+// never contain an event that depends on in-window remote traffic.
+// Applying the staged effects at the barrier therefore leaves every link
+// with the same contents, in the same per-link order (each input port's
+// flits and each output's credits have exactly one sending router, hence
+// one sending shard), as the sequential engine: a delivered flit joins its
+// VC's in-flight tail before any tick at which it could mature.
 //
 // Determinism of the merged statistics: integer counters accumulate in
 // per-shard deltas (addition commutes); the order-sensitive
@@ -59,7 +59,7 @@ namespace {
 /// cross-shard send and its earliest visible effect. Credits bound it —
 /// a credit sent at `now` arrives at now + period(), and the fastest
 /// V/F mode's period is kBaselinePeriodTicks. Flit hops are no sooner:
-/// link_latency_cycles >= 1 upstream periods (checked at engagement).
+/// validate() keeps link_latency_cycles at one upstream period or more.
 constexpr Tick kLookaheadTicks = kBaselinePeriodTicks;
 
 }  // namespace

@@ -63,6 +63,15 @@ void validate(const NocConfig& config, const Topology& topo,
                std::to_string(ports) + " ports per router",
            std::to_string(config.vcs_per_port));
   if (config.epoch_cycles < 1) reject("epoch_cycles", "at least 1", "0");
+  // Routers add these multiples of a clock period to unsigned ticks, so a
+  // negative value would wrap and silently act as 0. A link also takes at
+  // least one cycle: the sharded engine's lookahead window relies on it.
+  if (config.link_latency_cycles < 1)
+    reject("link_latency_cycles", "at least 1",
+           std::to_string(config.link_latency_cycles));
+  if (config.pipeline_stages < 0)
+    reject("pipeline_stages", "at least 0",
+           std::to_string(config.pipeline_stages));
   // Router::can_gate compares it with an idle-cycle count, so a negative
   // threshold would silently act as 0.
   if (config.t_idle_cycles < 0)
@@ -101,9 +110,6 @@ int Network::plan_shard_count() const {
   if (c.faults.enabled) return 1;
   // Observer callbacks fire in global event order, which shards interleave.
   if (ctx_.observer != nullptr) return 1;
-  // The lookahead window equals the minimum cross-shard latency
-  // (one fastest-mode period); zero-latency links would shrink it to zero.
-  if (c.link_latency_cycles < 1) return 1;
   // Packet ids must be report-inert (see engine_sharded.cpp): either the
   // NIC's id-keyed VC choice has a single candidate, or (auto_response
   // off) ids are trace-positional and reproduced exactly.

@@ -202,6 +202,10 @@ class Network {
   void eject(RouterId r, const Flit& flit, Tick now);
 
  private:
+  /// The checkpoint layout (network_ckpt.cpp): one walk that save_checkpoint
+  /// runs over a CkptWriter and restore_checkpoint over a CkptReader.
+  template <typename Io>
+  void walk_state(Io& io);
   /// Runs the trace on the indexed or the sharded engine, between
   /// begin_run and finish_run.
   void run_loop(const Trace& trace, Tick end_tick, bool drain);
@@ -348,13 +352,18 @@ class Network {
   bool run_drain_ = false;        ///< Drain mode of the (current) run.
   Tick run_end_tick_ = 0;         ///< Horizon of the (current) run.
   const Trace* running_trace_ = nullptr;  ///< Set for the duration of a run.
-  /// Expected run parameters recorded in the checkpoint, validated when
-  /// the resumed run starts (the trace itself is not serialized).
-  std::string expect_trace_name_;
-  std::uint64_t expect_trace_size_ = 0;
-  std::uint64_t expect_trace_hash_ = 0;
-  bool expect_drain_ = false;
-  Tick expect_end_tick_ = 0;
+  /// A run's parameters as a checkpoint records them (the trace itself is
+  /// not serialized, only its name, size and fingerprint).
+  struct RunKey {
+    bool drain = false;
+    Tick end_tick = 0;
+    std::string trace_name;
+    std::uint64_t trace_size = 0;
+    std::uint64_t trace_hash = 0;
+  };
+  /// The checkpointed run's parameters, validated when the resumed run
+  /// starts.
+  RunKey expect_;
 
   /// Packets with a corrupted non-tail flit already ejected, pending their
   /// tail (the whole instance fails the end-to-end check).

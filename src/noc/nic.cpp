@@ -83,46 +83,24 @@ void NetworkInterface::reset_epoch_window() {
   epoch_reqs_recvd_ = 0;
 }
 
-void NetworkInterface::save_state(CkptWriter& w) const {
-  w.tag("NIC0");
-  w.u32(static_cast<std::uint32_t>(queues_.size()));
-  for (const auto& queue : queues_) {
-    w.u32(static_cast<std::uint32_t>(queue.size()));
-    for (const auto& packet : queue) ckpt::save_pending_packet(w, packet);
-  }
-  // The heap's raw array is written verbatim: restoring it byte-for-byte
+template <typename Io>
+void NetworkInterface::walk_state(Io& io) {
+  io.tag("NIC0");
+  io.check(static_cast<std::uint32_t>(queues_.size()),
+           "NIC queue count mismatch (topology changed?)");
+  for (auto& queue : queues_)
+    io.seq(queue, [&io](auto& packet) { ckpt::walk(io, packet); });
+  // The heap's raw array is walked verbatim: restoring it byte-for-byte
   // reproduces the pop order of equal-ready_tick entries exactly.
-  w.u32(static_cast<std::uint32_t>(pending_responses_.size()));
-  for (const auto& timed : pending_responses_) {
-    w.u64(timed.ready_tick);
-    ckpt::save_pending_packet(w, timed.packet);
-  }
-  w.u64(epoch_reqs_sent_);
-  w.u64(epoch_reqs_recvd_);
+  io.seq(pending_responses_, [&io](auto& timed) {
+    io.u64(timed.ready_tick);
+    ckpt::walk(io, timed.packet);
+  });
+  io.u64(epoch_reqs_sent_);
+  io.u64(epoch_reqs_recvd_);
 }
 
-void NetworkInterface::load_state(CkptReader& r) {
-  r.expect_tag("NIC0");
-  const std::uint32_t queues = r.u32();
-  if (queues != queues_.size())
-    r.fail("NIC queue count mismatch (topology changed?)");
-  for (auto& queue : queues_) {
-    queue.clear();
-    const std::uint32_t count = r.u32();
-    for (std::uint32_t i = 0; i < count; ++i)
-      queue.push_back(ckpt::load_pending_packet(r));
-  }
-  pending_responses_.clear();
-  const std::uint32_t pending = r.u32();
-  pending_responses_.reserve(pending);
-  for (std::uint32_t i = 0; i < pending; ++i) {
-    TimedResponse timed;
-    timed.ready_tick = r.u64();
-    timed.packet = ckpt::load_pending_packet(r);
-    pending_responses_.push_back(timed);
-  }
-  epoch_reqs_sent_ = r.u64();
-  epoch_reqs_recvd_ = r.u64();
-}
+template void NetworkInterface::walk_state(CkptWriter& io);
+template void NetworkInterface::walk_state(CkptReader& io);
 
 }  // namespace dozz

@@ -18,9 +18,6 @@
 
 namespace dozz {
 
-class CkptWriter;
-class CkptReader;
-
 /// One router's network interface, multiplexing `concentration` cores onto
 /// the router's local ports.
 class NetworkInterface {
@@ -87,8 +84,10 @@ class NetworkInterface {
   void reset_epoch_window();
 
   // --- Checkpoint/restore (src/ckpt; DESIGN.md §8) ---
-  void save_state(CkptWriter& w) const;
-  void load_state(CkptReader& r);
+  /// Saves (Io = CkptWriter) or restores (Io = CkptReader) the injection
+  /// queues, the pending responses and the epoch counters in one walk.
+  template <typename Io>
+  void walk_state(Io& io);
 
  private:
   struct TimedResponse {

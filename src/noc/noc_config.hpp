@@ -61,9 +61,9 @@ struct NocConfig {
   /// 0 = auto (DOZZ_SHARD_THREADS env var if set, else 1); 1 = sequential
   /// (the default engine). The sharded engine engages
   /// only for configurations it can replay exactly (non-gating policy, no
-  /// faults, no observer, no extended-feature capture,
-  /// link_latency_cycles >= 1, and packet-id-inert VC selection); anything
-  /// else silently falls back to sequential — see Network::shards_used().
+  /// faults, no observer, no extended-feature capture, and packet-id-inert
+  /// VC selection); anything else silently falls back to sequential — see
+  /// Network::shards_used().
   int shard_threads = 0;
 
   // --- Fault injection & resilience ---
@@ -101,9 +101,10 @@ inline constexpr int kMaxPortVcs = kMaxRouterSlots / (kNumDirections + 1);
 /// Throws ConfigError naming the first key of `config` no simulation on
 /// `topo` can run with: no virtual channels, VC classes that do not divide
 /// them, more VCs than kMaxRouterSlots leaves each of the topology's router
-/// ports, a zero buffer depth or packet size, a zero-cycle epoch, or a
-/// negative gating idle threshold. The Network constructor calls it; keys
-/// are the field names ("epoch_cycles").
+/// ports, a zero buffer depth or packet size, a zero-cycle epoch, a link
+/// latency below one cycle, or a negative pipeline depth or gating idle
+/// threshold. The Network constructor calls it; keys are the field names
+/// ("epoch_cycles").
 void validate(const NocConfig& config, const Topology& topo,
               const KeyNamer& name = {});
 

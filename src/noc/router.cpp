@@ -171,12 +171,6 @@ void Router::reset_epoch_window() {
   ep_raw_peak_ibu_ = 0.0;
 }
 
-Router::EpochCounters Router::epoch_counters() const {
-  EpochCounters c;
-  epoch_counters_into(&c);
-  return c;
-}
-
 void Router::epoch_counters_into(EpochCounters* out) const {
   EpochCounters& c = *out;
   const auto ports = static_cast<std::size_t>(ports_);
@@ -225,237 +219,167 @@ std::vector<TimedFlit> Router::in_flight_flits(int port) const {
   return flits;
 }
 
-void Router::save_state(CkptWriter& w) const {
-  w.tag("RTR0");
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.u8(static_cast<std::uint8_t>(mode_));
-  w.u64(next_edge_);
-  w.u64(stall_until_);
-  w.u64(wake_done_);
-  w.u64(off_since_);
-  w.u64(last_secured_);
-  w.boolean(ever_secured_);
-  w.i32(idle_cycles_);
-  w.i64(inbound_inflight_);
+template <typename Io>
+void Router::walk_state(Io& io) {
+  io.tag("RTR0");
+  auto state = static_cast<std::uint8_t>(state_);
+  io.u8(state);
+  if constexpr (Io::kLoading) {
+    if (state > static_cast<std::uint8_t>(RouterState::kActive))
+      io.fail("invalid router state");
+    state_ = static_cast<RouterState>(state);
+  }
+  auto mode = static_cast<std::uint8_t>(mode_);
+  io.u8(mode);
+  if constexpr (Io::kLoading) {
+    if (mode >= kNumVfModes) io.fail("invalid V/F mode");
+    mode_ = static_cast<VfMode>(mode);
+  }
+  io.u64(next_edge_);
+  io.u64(stall_until_);
+  io.u64(wake_done_);
+  io.u64(off_since_);
+  io.u64(last_secured_);
+  io.boolean(ever_secured_);
+  io.i32(idle_cycles_);
+  io.i64(inbound_inflight_);
 
-  ckpt::save_energy_accountant(w, accountant_);
-  w.u64(last_account_);
-  for (Tick t : active_mode_ticks_) w.u64(t);
+  ckpt::walk(io, accountant_);
+  io.u64(last_account_);
+  for (Tick& t : active_mode_ticks_) io.u64(t);
 
-  w.u64(gatings_);
-  w.u64(wakeups_);
-  w.u64(premature_wakeups_);
-  w.u64(mode_switches_);
+  io.u64(gatings_);
+  io.u64(wakeups_);
+  io.u64(premature_wakeups_);
+  io.u64(mode_switches_);
 
-  w.u64(stuck_until_);
-  w.u64(wake_faults_);
-  w.u64(regulator_faults_);
+  io.u64(stuck_until_);
+  io.u64(wake_faults_);
+  io.u64(regulator_faults_);
 
-  w.i32(buffered_flits_);
-  w.i64(pending_credits_);
+  io.i32(buffered_flits_);
+  io.i64(pending_credits_);
 
-  w.u64(epoch_occ_);
-  w.u64(epoch_cap_);
-  w.f64(epoch_peak_ibu_);
-  w.f64(util_ema_);
-  w.u64(life_occ_);
-  w.u64(life_cap_);
+  io.u64(epoch_occ_);
+  io.u64(epoch_cap_);
+  io.f64(epoch_peak_ibu_);
+  io.f64(util_ema_);
+  io.u64(life_occ_);
+  io.u64(life_cap_);
 
-  w.u32(static_cast<std::uint32_t>(ep_port_occ_.size()));
-  for (std::uint64_t v : ep_port_occ_) w.u64(v);
-  w.u32(static_cast<std::uint32_t>(ep_port_peak_.size()));
-  for (int v : ep_port_peak_) w.i32(v);
-  w.u32(static_cast<std::uint32_t>(ep_port_arrivals_.size()));
-  for (std::uint64_t v : ep_port_arrivals_) w.u64(v);
-  w.u32(static_cast<std::uint32_t>(ep_port_departures_.size()));
-  for (std::uint64_t v : ep_port_departures_) w.u64(v);
-  w.u64(ep_edges_);
-  w.u64(ep_idle_edges_);
-  w.u64(ep_injected_);
-  w.u64(ep_ejected_);
-  w.u64(ep_secures_);
-  w.f64(ep_raw_peak_ibu_);
+  const auto port_count = static_cast<std::uint32_t>(ports_);
+  const auto vc_count = static_cast<std::uint32_t>(vcs_per_port_);
+  io.check(port_count, "per-port counter size mismatch");
+  for (std::uint64_t& v : ep_port_occ_) io.u64(v);
+  io.check(port_count, "per-port counter size mismatch");
+  for (int& v : ep_port_peak_) io.i32(v);
+  io.check(port_count, "per-port counter size mismatch");
+  for (std::uint64_t& v : ep_port_arrivals_) io.u64(v);
+  io.check(port_count, "per-port counter size mismatch");
+  for (std::uint64_t& v : ep_port_departures_) io.u64(v);
+  io.u64(ep_edges_);
+  io.u64(ep_idle_edges_);
+  io.u64(ep_injected_);
+  io.u64(ep_ejected_);
+  io.u64(ep_secures_);
+  io.f64(ep_raw_peak_ibu_);
 
   // Input buffers: per port, per VC, the visible flits plus wormhole
-  // allocation.
-  w.tag("RBUF");
-  w.u32(static_cast<std::uint32_t>(ports_));
+  // allocation. A restore drops each VC's in-flight tail; RCHN re-delivers
+  // it.
+  io.tag("RBUF");
+  io.check(port_count, "input port count mismatch");
+  std::vector<Flit> flits;  // one VC's visible flits, reused across VCs
   for (int p = 0; p < ports_; ++p) {
-    w.u32(static_cast<std::uint32_t>(vcs_per_port_));
+    io.check(vc_count, "VC count mismatch");
     for (int v = 0; v < vcs_per_port_; ++v) {
-      const VirtualChannel& vc = vcs_[static_cast<std::size_t>(
-          slot_index(p, v))];
-      w.u32(static_cast<std::uint32_t>(vc.occupancy()));
-      for (int i = 0; i < vc.occupancy(); ++i) ckpt::save_flit(w, vc.flit(i));
-      w.boolean(vc.allocated());
-      w.i32(vc.out_port());
-      w.i32(vc.out_vc());
+      VirtualChannel& vc = vc_at(slot_index(p, v));
+      flits.clear();
+      for (int i = 0; i < vc.occupancy(); ++i) flits.push_back(vc.flit(i));
+      bool allocated = vc.allocated();
+      int out_port = vc.out_port();
+      int out_vc = vc.out_vc();
+      io.seq(flits, [&io](auto& f) { ckpt::walk(io, f); });
+      io.boolean(allocated);
+      io.i32(out_port);
+      io.i32(out_vc);
+      if constexpr (Io::kLoading)
+        vc.restore(flits, allocated, out_port, out_vc);
     }
   }
 
-  // In-flight flits and credits maturing on the links.
-  w.tag("RCHN");
-  w.u32(static_cast<std::uint32_t>(ports_));
+  // In-flight flits and credits maturing on the links. A restore
+  // re-delivers each port's flits in their send order: every VC tail then
+  // holds them behind its visible flits, as before the save.
+  io.tag("RCHN");
+  io.check(port_count, "flit channel count mismatch");
+  if constexpr (Io::kLoading) in_flight_slots_ = 0;
   for (int p = 0; p < ports_; ++p) {
-    const std::vector<TimedFlit> flits = in_flight_flits(p);
-    w.u32(static_cast<std::uint32_t>(flits.size()));
-    for (const TimedFlit& t : flits) ckpt::save_timed_flit(w, t);
+    std::vector<TimedFlit> in_flight = in_flight_flits(p);
+    if constexpr (Io::kLoading)
+      links_[static_cast<std::size_t>(p)] = InputLink{};
+    io.seq(in_flight, [&io, this, p](auto& t) {
+      ckpt::walk(io, t);
+      if constexpr (Io::kLoading) {
+        if (t.vc < 0 || t.vc >= vcs_per_port_) io.fail("in-flight flit VC");
+        if (vc_at(slot_index(p, t.vc)).full())
+          io.fail("in-flight flits overflow their VC");
+        enqueue_in_flight(p, t.vc, t.arrival, t.flit);
+      }
+    });
   }
-  w.u32(static_cast<std::uint32_t>(ports_));
-  for (const auto& out : outputs_) {
-    w.u32(static_cast<std::uint32_t>(out.returning.size()));
-    for (const TimedCredit& t : out.returning.entries())
-      ckpt::save_timed_credit(w, t);
+  io.check(port_count, "credit channel count mismatch");
+  if constexpr (Io::kLoading) credit_ports_ = 0;
+  std::vector<TimedCredit> credits;  // one output's, reused across outputs
+  for (int p = 0; p < ports_; ++p) {
+    CreditChannel& returning = outputs_[static_cast<std::size_t>(p)].returning;
+    credits.clear();
+    for (const TimedCredit& t : returning.entries()) credits.push_back(t);
+    io.seq(credits, [&io](auto& t) { ckpt::walk(io, t); });
+    if constexpr (Io::kLoading) {
+      returning.clear();
+      for (const TimedCredit& t : credits) returning.push(t);
+      if (!returning.empty()) credit_ports_ |= std::uint64_t{1} << p;
+    }
   }
 
   // Output-side allocation state.
-  w.tag("ROUT");
-  w.u32(static_cast<std::uint32_t>(ports_));
-  for (const auto& out : outputs_) {
-    w.u32(static_cast<std::uint32_t>(vcs_per_port_));
+  io.tag("ROUT");
+  io.check(port_count, "output port count mismatch");
+  for (auto& out : outputs_) {
+    io.check(vc_count, "output VC count mismatch");
     for (int v = 0; v < vcs_per_port_; ++v)
-      w.i32(out.credits[static_cast<std::size_t>(v)]);
+      io.i32(out.credits[static_cast<std::size_t>(v)]);
     for (int v = 0; v < vcs_per_port_; ++v)
-      w.u8(out.vc_busy[static_cast<std::size_t>(v)]);
-    w.i32(out.last_grant);
+      io.u8(out.vc_busy[static_cast<std::size_t>(v)]);
+    io.i32(out.last_grant);
+  }
+
+  // The hot-path bitmasks and per-port counts are derived state: a restore
+  // rebuilds them from the restored buffers instead of serializing them
+  // (keeps the checkpoint format unchanged).
+  if constexpr (Io::kLoading) {
+    occ_mask_ = 0;
+    for (auto& out : outputs_) out.req_mask = 0;
+    for (int s = 0; s < slots_; ++s) {
+      const VirtualChannel& vc = vc_at(s);
+      const std::uint64_t bit = std::uint64_t{1} << s;
+      if (!vc.empty()) occ_mask_ |= bit;
+      links_[slot_port_[static_cast<std::size_t>(s)]].buffered +=
+          vc.occupancy();
+      if (vc.allocated())
+        outputs_[static_cast<std::size_t>(vc.out_port())].req_mask |= bit;
+    }
   }
 }
 
-void Router::load_state(CkptReader& r) {
-  r.expect_tag("RTR0");
-  const std::uint8_t state = r.u8();
-  if (state > static_cast<std::uint8_t>(RouterState::kActive))
-    r.fail("invalid router state");
-  state_ = static_cast<RouterState>(state);
-  const std::uint8_t mode = r.u8();
-  if (mode >= kNumVfModes) r.fail("invalid V/F mode");
-  mode_ = static_cast<VfMode>(mode);
-  next_edge_ = r.u64();
-  stall_until_ = r.u64();
-  wake_done_ = r.u64();
-  off_since_ = r.u64();
-  last_secured_ = r.u64();
-  ever_secured_ = r.boolean();
-  idle_cycles_ = r.i32();
-  inbound_inflight_ = r.i64();
+template void Router::walk_state(CkptWriter& io);
+template void Router::walk_state(CkptReader& io);
 
-  ckpt::load_energy_accountant(r, &accountant_);
-  last_account_ = r.u64();
-  for (auto& t : active_mode_ticks_) t = r.u64();
-
-  gatings_ = r.u64();
-  wakeups_ = r.u64();
-  premature_wakeups_ = r.u64();
-  mode_switches_ = r.u64();
-
-  stuck_until_ = r.u64();
-  wake_faults_ = r.u64();
-  regulator_faults_ = r.u64();
-
-  buffered_flits_ = r.i32();
-  pending_credits_ = r.i64();
-
-  epoch_occ_ = r.u64();
-  epoch_cap_ = r.u64();
-  epoch_peak_ibu_ = r.f64();
-  util_ema_ = r.f64();
-  life_occ_ = r.u64();
-  life_cap_ = r.u64();
-
-  const auto load_u64_vec = [&r](std::vector<std::uint64_t>* out) {
-    const std::uint32_t n = r.u32();
-    if (n != out->size()) r.fail("per-port counter size mismatch");
-    for (auto& v : *out) v = r.u64();
-  };
-  load_u64_vec(&ep_port_occ_);
-  {
-    const std::uint32_t n = r.u32();
-    if (n != ep_port_peak_.size()) r.fail("per-port counter size mismatch");
-    for (auto& v : ep_port_peak_) v = r.i32();
-  }
-  load_u64_vec(&ep_port_arrivals_);
-  load_u64_vec(&ep_port_departures_);
-  ep_edges_ = r.u64();
-  ep_idle_edges_ = r.u64();
-  ep_injected_ = r.u64();
-  ep_ejected_ = r.u64();
-  ep_secures_ = r.u64();
-  ep_raw_peak_ibu_ = r.f64();
-
-  r.expect_tag("RBUF");
-  if (r.u32() != static_cast<std::uint32_t>(ports_))
-    r.fail("input port count mismatch");
-  for (int p = 0; p < ports_; ++p) {
-    if (r.u32() != static_cast<std::uint32_t>(vcs_per_port_))
-      r.fail("VC count mismatch");
-    for (int v = 0; v < vcs_per_port_; ++v) {
-      const std::uint32_t flits = r.u32();
-      std::vector<Flit> queue;
-      queue.reserve(flits);
-      for (std::uint32_t i = 0; i < flits; ++i)
-        queue.push_back(ckpt::load_flit(r));
-      const bool allocated = r.boolean();
-      const int out_port = r.i32();
-      const int out_vc = r.i32();
-      vc_at(slot_index(p, v)).restore(queue, allocated, out_port, out_vc);
-    }
-  }
-
-  // Re-deliver each port's in-flight flits in their send order: every VC
-  // tail then holds them behind its visible flits, as before the save.
-  r.expect_tag("RCHN");
-  if (r.u32() != static_cast<std::uint32_t>(ports_))
-    r.fail("flit channel count mismatch");
-  in_flight_slots_ = 0;
-  for (int p = 0; p < ports_; ++p) {
-    links_[static_cast<std::size_t>(p)] = InputLink{};
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const TimedFlit t = ckpt::load_timed_flit(r);
-      if (t.vc < 0 || t.vc >= vcs_per_port_) r.fail("in-flight flit VC");
-      if (vc_at(slot_index(p, t.vc)).full())
-        r.fail("in-flight flits overflow their VC");
-      enqueue_in_flight(p, t.vc, t.arrival, t.flit);
-    }
-  }
-  if (r.u32() != static_cast<std::uint32_t>(ports_))
-    r.fail("credit channel count mismatch");
-  credit_ports_ = 0;
-  for (int p = 0; p < ports_; ++p) {
-    auto& ch = outputs_[static_cast<std::size_t>(p)].returning;
-    ch.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) ch.push(ckpt::load_timed_credit(r));
-    if (!ch.empty()) credit_ports_ |= std::uint64_t{1} << p;
-  }
-
-  r.expect_tag("ROUT");
-  if (r.u32() != static_cast<std::uint32_t>(ports_))
-    r.fail("output port count mismatch");
-  for (auto& out : outputs_) {
-    if (r.u32() != static_cast<std::uint32_t>(vcs_per_port_))
-      r.fail("output VC count mismatch");
-    for (int v = 0; v < vcs_per_port_; ++v)
-      out.credits[static_cast<std::size_t>(v)] = r.i32();
-    for (int v = 0; v < vcs_per_port_; ++v)
-      out.vc_busy[static_cast<std::size_t>(v)] = r.u8();
-    out.last_grant = r.i32();
-  }
-
-  // The hot-path bitmasks and per-port counts are derived state: rebuild
-  // them from the restored buffers instead of serializing them (keeps the
-  // checkpoint format unchanged).
-  occ_mask_ = 0;
-  for (auto& out : outputs_) out.req_mask = 0;
-  for (int s = 0; s < slots_; ++s) {
-    const VirtualChannel& vc = vc_at(s);
-    const std::uint64_t bit = std::uint64_t{1} << s;
-    if (!vc.empty()) occ_mask_ |= bit;
-    links_[slot_port_[static_cast<std::size_t>(s)]].buffered +=
-        vc.occupancy();
-    if (vc.allocated())
-      outputs_[static_cast<std::size_t>(vc.out_port())].req_mask |= bit;
-  }
+void Router::save_state(CkptWriter& w) const {
+  // The walk takes the router mutably so one body serves both directions;
+  // a CkptWriter only reads the fields it is handed.
+  const_cast<Router*>(this)->walk_state(w);
 }
 
 }  // namespace dozz

@@ -93,9 +93,10 @@ class Router {
   Tick total_off_ticks(Tick now) const;
 
   // --- Links (written by the environment / upstream routers) ---
-  /// A flit sent toward input (`port`, `vc`), arriving at `arrival`. It
-  /// joins that VC's in-flight tail and becomes visible at this router's
-  /// first clock edge at or after `arrival`.
+  /// A flit sent toward input (`port`, `vc`), arriving at `arrival`, or
+  /// behind the port's previous flit if that arrives later (links are
+  /// FIFO). It joins that VC's in-flight tail and becomes visible at this
+  /// router's first clock edge at or after its arrival.
   void receive(int port, int vc, Tick arrival, const Flit& flit);
   /// A credit returned for output (`port`, `vc`), arriving at `arrival`.
   void receive_credit(int port, int vc, Tick arrival);
@@ -213,9 +214,8 @@ class Router {
     double secures = 0.0;         ///< Times this router was pinned awake.
     double raw_peak_ibu = 0.0;    ///< Unsmoothed single-cycle peak.
   };
-  EpochCounters epoch_counters() const;
-  /// In-place variant for the per-epoch hot path: refills `out`'s vectors
-  /// reusing their capacity instead of allocating four fresh ones per call.
+  /// Fills `out` with this window's counters, reusing the capacity of its
+  /// vectors, so the per-epoch hot path does not allocate.
   void epoch_counters_into(EpochCounters* out) const;
 
   /// Whole-run average input-buffer utilization.
@@ -226,12 +226,15 @@ class Router {
   void account_until(Tick now);
 
   // --- Checkpoint/restore (src/ckpt; DESIGN.md §8) ---
-  /// Serializes all mutable router state: operating state/mode/clock,
-  /// buffers, in-flight flits and credits, energy accounting and every
-  /// statistics counter. Construction-time wiring (id, topology, config,
-  /// regulator, neighbors, capacities) is rebuilt from the configuration.
+  /// Saves (Io = CkptWriter) or restores (Io = CkptReader) all mutable
+  /// router state in one walk: operating state/mode/clock, buffers,
+  /// in-flight flits and credits, energy accounting and every statistics
+  /// counter. Construction-time wiring (id, topology, config, regulator,
+  /// neighbors, capacities) is rebuilt from the configuration.
+  template <typename Io>
+  void walk_state(Io& io);
+  /// The saving walk, for a const router.
   void save_state(CkptWriter& w) const;
-  void load_state(CkptReader& r);
 
  private:
   struct OutputState {
@@ -407,7 +410,12 @@ inline void Router::enqueue_in_flight(int port, int vc, Tick arrival,
 inline void Router::receive(int port, int vc, Tick arrival, const Flit& flit) {
   DOZZ_REQUIRE(port >= 0 && port < num_ports());
   DOZZ_REQUIRE(vc >= 0 && vc < vcs_per_port_);
-  enqueue_in_flight(port, vc, arrival, flit);
+  // A link is FIFO. Once the sender switches to a faster mode, a flit it
+  // sends can compute an arrival before that of the flit ahead of it on
+  // the link (link_latency_cycles times the period drop can exceed the
+  // T-Switch stall); it then arrives right behind that flit.
+  const Tick behind = links_[static_cast<std::size_t>(port)].last_arrival;
+  enqueue_in_flight(port, vc, std::max(arrival, behind), flit);
   ++inbound_inflight_;
 }
 

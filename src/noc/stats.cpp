@@ -1,5 +1,8 @@
 #include "src/noc/stats.hpp"
 
+#include <variant>
+#include <vector>
+
 #include "src/ckpt/serial.hpp"
 
 namespace dozz {
@@ -39,31 +42,25 @@ VfMode PowerController::resolve_degraded(RouterId r, VfMode selected) const {
 
 namespace {
 
-void save_router_set(CkptWriter& w, const std::set<RouterId>& s) {
-  w.u32(static_cast<std::uint32_t>(s.size()));
-  for (RouterId r : s) w.i32(r);  // std::set iterates sorted: stable bytes.
-}
-
-void load_router_set(CkptReader& r, std::set<RouterId>* out) {
-  out->clear();
-  const std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) out->insert(r.i32());
+// std::set iterates sorted, so equal sets write equal bytes.
+template <typename Io>
+void walk_router_set(Io& io, std::set<RouterId>& set) {
+  std::vector<RouterId> ids(set.begin(), set.end());
+  io.seq(ids, [&io](auto& r) { io.i32(r); });
+  if constexpr (Io::kLoading) set = std::set<RouterId>(ids.begin(), ids.end());
 }
 
 }  // namespace
 
-void PowerController::save_state(CkptWriter& w) const {
-  w.tag("POL0");
-  save_router_set(w, gating_degraded_);
-  save_router_set(w, pinned_nominal_);
-  save_extra_state(w);
-}
-
-void PowerController::load_state(CkptReader& r) {
-  r.expect_tag("POL0");
-  load_router_set(r, &gating_degraded_);
-  load_router_set(r, &pinned_nominal_);
-  load_extra_state(r);
+void PowerController::walk_state(CkptIo io) {
+  std::visit(
+      [this](auto* io) {
+        io->tag("POL0");
+        walk_router_set(*io, gating_degraded_);
+        walk_router_set(*io, pinned_nominal_);
+      },
+      io);
+  walk_extra_state(io);
 }
 
 }  // namespace dozz

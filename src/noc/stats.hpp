@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/stats.hpp"
@@ -18,6 +19,9 @@ namespace dozz {
 
 class CkptWriter;
 class CkptReader;
+/// The direction of a checkpoint walk that runs behind a virtual call
+/// (a policy's state): saving into a writer or restoring from a reader.
+using CkptIo = std::variant<CkptWriter*, CkptReader*>;
 
 /// The reduced five-feature set of Table IV, captured per router per epoch.
 struct EpochFeatures {
@@ -114,22 +118,21 @@ class PowerController {
   std::size_t degraded_router_count() const;
 
   // --- Checkpoint/restore (src/ckpt; DESIGN.md §8) ---
-  // Serializes the degradation sets plus whatever epoch-aligned state the
-  // concrete policy keeps (via the save_extra_state/load_extra_state
-  // hooks). Weights and configuration are not captured: a resume must
-  // reconstruct the same policy object before calling load_state.
-  void save_state(CkptWriter& w) const;
-  void load_state(CkptReader& r);
+  /// Saves or restores, in one walk, the degradation sets plus whatever
+  /// epoch-aligned state the concrete policy keeps (walk_extra_state).
+  /// Weights and configuration are not captured: a resume must reconstruct
+  /// the same policy object before restoring into it.
+  void walk_state(CkptIo io);
 
  protected:
   /// Applies the pin-nominal downgrade to a mode decision. Concrete
   /// policies route their select_mode result through this.
   VfMode resolve_degraded(RouterId r, VfMode selected) const;
 
-  /// Hooks for policy-specific mutable state (window counters, oracle
-  /// cursors). Defaults are empty: stateless policies need nothing.
-  virtual void save_extra_state(CkptWriter& /*w*/) const {}
-  virtual void load_extra_state(CkptReader& /*r*/) {}
+  /// The walk over policy-specific mutable state (window counters, oracle
+  /// cursors), run for both directions. The default is empty: stateless
+  /// policies need nothing.
+  virtual void walk_extra_state(CkptIo /*io*/) {}
 
  private:
   std::set<RouterId> gating_degraded_;

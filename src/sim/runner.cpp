@@ -13,18 +13,9 @@ namespace dozz {
 RunOutcome run_simulation(const SimSetup& setup, PowerController& policy,
                           const Trace& trace, bool collect_epoch_log,
                           bool collect_extended_log) {
-  return run_simulation_with_power(setup, policy, trace, PowerModel(),
-                                   collect_epoch_log, collect_extended_log);
-}
-
-RunOutcome run_simulation_with_power(const SimSetup& setup,
-                                     PowerController& policy,
-                                     const Trace& trace,
-                                     const PowerModel& power,
-                                     bool collect_epoch_log,
-                                     bool collect_extended_log) {
-  return run_simulation_controlled(setup, policy, trace, power, RunControl{},
-                                   collect_epoch_log, collect_extended_log);
+  return run_simulation_controlled(setup, policy, trace, PowerModel(),
+                                   RunControl{}, collect_epoch_log,
+                                   collect_extended_log);
 }
 
 RunOutcome run_simulation_controlled(const SimSetup& setup,

@@ -31,8 +31,8 @@ struct RunOutcome {
 };
 
 /// Supervision knobs for run_simulation_controlled. The default-constructed
-/// control is equivalent to run_simulation_with_power: no checkpoints, no
-/// timeout, never interrupted.
+/// control is an unsupervised run: no checkpoints, no timeout, never
+/// interrupted.
 struct RunControl {
   /// Save a checkpoint every N processed epochs (0 = never). Requires
   /// `checkpoint_path`.
@@ -62,18 +62,10 @@ RunOutcome run_simulation(const SimSetup& setup, PowerController& policy,
                           const Trace& trace, bool collect_epoch_log = false,
                           bool collect_extended_log = false);
 
-/// Same, but with a caller-supplied power model (e.g. produced by the
-/// analytical DsentRouterModel for a non-reference router geometry).
-RunOutcome run_simulation_with_power(const SimSetup& setup,
-                                     PowerController& policy,
-                                     const Trace& trace,
-                                     const PowerModel& power,
-                                     bool collect_epoch_log = false,
-                                     bool collect_extended_log = false);
-
-/// run_simulation_with_power plus supervision: periodic checkpointing,
-/// cooperative stop, resume-from-checkpoint and a wall-clock timeout (see
-/// RunControl).
+/// The same run with a caller-supplied power model (e.g. produced by the
+/// analytical DsentRouterModel for a non-reference router geometry) and
+/// supervision: periodic checkpointing, cooperative stop,
+/// resume-from-checkpoint and a wall-clock timeout (see RunControl).
 RunOutcome run_simulation_controlled(const SimSetup& setup,
                                      PowerController& policy,
                                      const Trace& trace,

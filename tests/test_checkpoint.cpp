@@ -4,14 +4,20 @@
 // every policy kind, under both the product's engine and the linear-scan
 // reference kernel (tests/linear_kernel.hpp), with the fault layer armed
 // or not, and even across kernels (checkpoint under the linear kernel,
-// resume under the indexed one). Also covers the file framing, the typed
+// resume under the indexed one). The resumed run's next checkpoint must
+// also equal the uninterrupted run's byte for byte, and the registry's
+// extra policies, the oracle, the 41-feature policy and a faulty run pin
+// the CRC-32 of their checkpoints. Also covers the file framing, the typed
 // validation errors, the sweep manifest, and the supervised batch runner's
 // skip/retry/timeout behavior.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -19,10 +25,13 @@
 #include "src/ckpt/checkpoint.hpp"
 #include "src/ckpt/serial.hpp"
 #include "src/common/error.hpp"
+#include "src/core/baselines.hpp"
 #include "src/core/policies.hpp"
+#include "src/noc/extended_features.hpp"
 #include "src/noc/network.hpp"
 #include "src/regulator/simo_ldo.hpp"
 #include "src/sim/batch.hpp"
+#include "src/sim/registries.hpp"
 #include "src/sim/runner.hpp"
 #include "src/sim/setup.hpp"
 #include "src/trafficgen/patterns.hpp"
@@ -57,30 +66,37 @@ RunOutcome run_uninterrupted(const SimSetup& setup, PolicyKind kind,
   return run_simulation_on(linear, setup, *policy, trace);
 }
 
+using PolicyFactory = std::function<std::unique_ptr<PowerController>()>;
+
+/// A resumed run's outcome and the checkpoint it resumed from.
+struct ResumedRun {
+  RunOutcome outcome;
+  std::vector<unsigned char> checkpoint;
+};
+
 /// Runs until epoch `stop_epoch` (on the linear reference kernel when
-/// `save_linear`), checkpoints in memory, abandons the run, then restores
-/// into a fresh network and finishes (on the linear kernel when
-/// `resume_linear`). Returns the resumed run's outcome.
-RunOutcome run_interrupted_then_resumed(const SimSetup& setup,
-                                        PolicyKind kind, const Trace& trace,
-                                        std::uint64_t stop_epoch,
-                                        bool save_linear,
-                                        bool resume_linear) {
+/// `save_linear`) and checkpoints in memory there, runs on to the next
+/// epoch boundary, checkpoints again and abandons the run. Then restores
+/// the first checkpoint into a fresh network and finishes (on the linear
+/// kernel when `resume_linear`); at that next boundary the resumed run
+/// must write the same bytes as the first run did.
+ResumedRun resume_at(const SimSetup& setup, const PolicyFactory& make,
+                     const Trace& trace, std::uint64_t stop_epoch,
+                     bool save_linear, bool resume_linear) {
   const Topology topo = setup.make_topology();
-  const int routers = topo.num_routers();
 
   CkptWriter w;
-  bool saved = false;
+  CkptWriter next;
   {
-    auto policy = make_policy(kind, routers, weights_for(kind));
+    auto policy = make();
     SimoLdoRegulator regulator;
     const PowerModel power;
     Network net(topo, setup.noc, *policy, power, regulator);
-    net.set_epoch_hook([&w, &saved, stop_epoch](Network& n, Tick,
-                                                std::uint64_t epochs) {
-      if (epochs != stop_epoch) return true;
-      n.save_checkpoint(w);
-      saved = true;
+    net.set_epoch_hook([&w, &next, stop_epoch](Network& n, Tick,
+                                               std::uint64_t epochs) {
+      if (epochs == stop_epoch) n.save_checkpoint(w);
+      if (epochs != stop_epoch + 1) return true;
+      n.save_checkpoint(next);
       return false;
     });
     drive(net, setup, trace, save_linear);
@@ -88,9 +104,10 @@ RunOutcome run_interrupted_then_resumed(const SimSetup& setup,
     // Interrupted runs still compile a (partial) report without crashing.
     EXPECT_GT(net.metrics().sim_ticks, 0u);
   }
-  EXPECT_TRUE(saved) << "run ended before epoch " << stop_epoch;
+  EXPECT_FALSE(next.bytes().empty())
+      << "run ended before epoch " << stop_epoch + 1;
 
-  auto policy = make_policy(kind, routers, weights_for(kind));
+  auto policy = make();
   SimoLdoRegulator regulator;
   const PowerModel power;
   Network net(topo, setup.noc, *policy, power, regulator);
@@ -99,15 +116,44 @@ RunOutcome run_interrupted_then_resumed(const SimSetup& setup,
   net.restore_checkpoint(r);
   r.expect_end();
   EXPECT_TRUE(net.resumed());
+  CkptWriter resumed_next;
+  net.set_epoch_hook([&resumed_next, stop_epoch](Network& n, Tick,
+                                                 std::uint64_t epochs) {
+    if (epochs == stop_epoch + 1) n.save_checkpoint(resumed_next);
+    return true;
+  });
   drive(net, setup, trace, resume_linear);
   EXPECT_FALSE(net.interrupted());
+  // Not EXPECT_EQ: a failure would print both checkpoints in full.
+  EXPECT_TRUE(resumed_next.bytes() == next.bytes())
+      << "the resumed run's checkpoint at epoch " << stop_epoch + 1
+      << " differs from the uninterrupted run's ("
+      << resumed_next.bytes().size() << " vs " << next.bytes().size()
+      << " bytes)";
 
-  RunOutcome outcome;
-  outcome.policy = policy->name();
-  outcome.trace = trace.name();
-  outcome.metrics = net.metrics();
-  outcome.epoch_log = net.epoch_log();
-  return outcome;
+  ResumedRun resumed;
+  resumed.outcome.policy = policy->name();
+  resumed.outcome.trace = trace.name();
+  resumed.outcome.metrics = net.metrics();
+  resumed.outcome.epoch_log = net.epoch_log();
+  resumed.outcome.extended_log = net.extended_log();
+  resumed.checkpoint = payload;
+  return resumed;
+}
+
+/// resume_at for a paper policy kind. Returns the resumed run's outcome.
+RunOutcome run_interrupted_then_resumed(const SimSetup& setup,
+                                        PolicyKind kind, const Trace& trace,
+                                        std::uint64_t stop_epoch,
+                                        bool save_linear,
+                                        bool resume_linear) {
+  const int routers = setup.make_topology().num_routers();
+  const PolicyFactory make = [kind, routers] {
+    return make_policy(kind, routers, weights_for(kind));
+  };
+  return resume_at(setup, make, trace, stop_epoch, save_linear,
+                   resume_linear)
+      .outcome;
 }
 
 using CkptParam = std::tuple<PolicyKind, bool /*linear*/, bool /*faults*/>;
@@ -300,6 +346,127 @@ TEST(CheckpointInFlightTies, EqualArrivalsOnTwoVcsRoundTrip) {
   EXPECT_FALSE(resumed.interrupted());
   expect_metrics_identical(full.metrics(), resumed.metrics());
   expect_epoch_logs_identical(full.epoch_log(), resumed.epoch_log());
+}
+
+// --- Every checkpointed record round-trips, in a pinned format ---------
+// One walk both writes and reads each record, so a change in its field
+// order or width still round-trips; only the CRC-32 of a checkpoint,
+// pinned beside the golden reports, notices it. Regenerate the pins (only
+// when a format change is intended) with:
+//   DOZZ_REGEN_GOLDEN=1 ./dozz_tests --gtest_filter='CheckpointRecords*'
+
+/// Resumes from a checkpoint at `stop_epoch`, expects the run to end
+/// bit-identical to the uninterrupted one, and checks the checkpoint's
+/// CRC-32 against tests/golden/ckpt_<pin>.crc32.
+void expect_round_trip_and_pin(const std::string& pin, const SimSetup& setup,
+                               const PolicyFactory& make, const Trace& trace,
+                               std::uint64_t stop_epoch) {
+  auto policy = make();
+  const RunOutcome full = run_simulation(setup, *policy, trace);
+  const ResumedRun resumed =
+      resume_at(setup, make, trace, stop_epoch, false, false);
+  expect_metrics_identical(full.metrics, resumed.outcome.metrics);
+  expect_epoch_logs_identical(full.epoch_log, resumed.outcome.epoch_log);
+  EXPECT_TRUE(full.extended_log == resumed.outcome.extended_log)
+      << "extended feature log drifted";
+
+  char crc[9];
+  std::snprintf(crc, sizeof crc, "%08x",
+                ckpt_crc32(resumed.checkpoint.data(),
+                           resumed.checkpoint.size()));
+  const std::string path =
+      std::string(DOZZ_SOURCE_DIR) + "/tests/golden/ckpt_" + pin + ".crc32";
+  if (std::getenv("DOZZ_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << crc << '\n';
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path);
+  std::string pinned;
+  ASSERT_TRUE(in >> pinned) << "missing pin " << path
+                            << " (regenerate with DOZZ_REGEN_GOLDEN=1)";
+  EXPECT_EQ(crc, pinned) << "the checkpoint format changed: " << path;
+}
+
+PolicyFactory registry_policy(const std::string& name, const SimSetup& setup) {
+  PolicyParams params;
+  params.num_routers = setup.make_topology().num_routers();
+  return [name, params] { return policy_registry().at(name).make(params); };
+}
+
+TEST(CheckpointRecords, ReactiveRegistryPolicy) {
+  const SimSetup setup = small_setup(/*faults_armed=*/false);
+  const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
+  expect_round_trip_and_pin("reactive", setup,
+                            registry_policy("reactive", setup), trace, 3);
+}
+
+TEST(CheckpointRecords, VfiRegistryPolicy) {
+  const SimSetup setup = small_setup(/*faults_armed=*/false);
+  const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
+  expect_round_trip_and_pin("vfi", setup, registry_policy("vfi", setup),
+                            trace, 3);
+}
+
+TEST(CheckpointRecords, ParkingRegistryPolicy) {
+  // Sparse traffic: cores fall silent for whole windows, so routers are
+  // mid-count toward parking at the save.
+  const SimSetup setup = small_setup(/*faults_armed=*/false);
+  const Topology topo = setup.make_topology();
+  const Trace trace = generate_synthetic_trace(
+      topo, uniform_pattern(topo.num_cores()), /*rate=*/0.001,
+      /*cycles=*/6000, /*seed=*/5);
+  expect_round_trip_and_pin("parking", setup,
+                            registry_policy("parking", setup), trace, 3);
+}
+
+TEST(CheckpointRecords, OraclePolicy) {
+  const SimSetup setup = small_setup(/*faults_armed=*/false);
+  const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
+  const int routers = setup.make_topology().num_routers();
+  // The trajectory comes from a recording run, as run_oracle bootstraps it.
+  ReactiveDvfsPolicy recorder("recorder", /*gating=*/true, /*turbo=*/false,
+                              routers);
+  const IbuTrajectory trajectory =
+      trajectory_from_log(run_simulation(setup, recorder, trace).epoch_log);
+  const PolicyFactory make = [trajectory, routers] {
+    return std::make_unique<OracleDvfsPolicy>(trajectory, /*gating=*/true,
+                                              routers);
+  };
+  expect_round_trip_and_pin("oracle", setup, make, trace, 3);
+}
+
+TEST(CheckpointRecords, ExtendedMlPolicyWithExtendedLog) {
+  SimSetup setup = small_setup(/*faults_armed=*/false);
+  setup.noc.collect_extended_log = true;
+  const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
+  const int routers = setup.make_topology().num_routers();
+  WeightVector weights;
+  weights.feature_names = extended_feature_names(kNumDirections + 1);
+  weights.weights.assign(weights.feature_names.size(), 0.0);
+  weights.weights[extended_ibu_column()] = 1.0;
+  ASSERT_EQ(weights.weights.size(), 41u);
+  const PolicyFactory make = [weights, routers] {
+    return std::make_unique<ProactiveExtendedMlPolicy>(PolicyKind::kMlTurbo,
+                                                       weights, routers);
+  };
+  expect_round_trip_and_pin("extended_turbo", setup, make, trace, 3);
+}
+
+TEST(CheckpointRecords, FaultyRun) {
+  SimSetup setup = small_setup(/*faults_armed=*/true);
+  setup.noc.faults.link_bit_flip_rate = 2e-3;
+  setup.noc.faults.wake_drop_rate = 0.3;
+  setup.noc.faults.mode_switch_fail_rate = 0.2;
+  setup.noc.faults.droop_rate = 0.02;
+  const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
+  const int routers = setup.make_topology().num_routers();
+  const PolicyFactory make = [routers] {
+    return make_policy(PolicyKind::kDozzNoc, routers,
+                       weights_for(PolicyKind::kDozzNoc));
+  };
+  expect_round_trip_and_pin("faults", setup, make, trace, 5);
 }
 
 // The file layer (framing + atomic write) round-trips through disk via the

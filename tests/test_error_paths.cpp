@@ -212,6 +212,30 @@ TEST(RunParameters, NegativeIdleThresholdIsAConfigError) {
   EXPECT_NO_THROW(validate(setup));
 }
 
+TEST(RunParameters, LinkLatencyBelowOneCycleIsAConfigError) {
+  // Routers add the link latency times a period to unsigned ticks: a
+  // negative count would wrap and act as a zero-cycle link.
+  SimSetup setup;
+  setup.noc.link_latency_cycles = -2;
+  expect_config_error([&] { validate(setup); }, "noc.link_latency_cycles");
+  expect_config_error([&] { build_network(setup.noc); },
+                      "link_latency_cycles");
+  setup.noc.link_latency_cycles = 0;
+  expect_config_error([&] { build_network(setup.noc); },
+                      "link_latency_cycles");
+  setup.noc.link_latency_cycles = 1;
+  EXPECT_NO_THROW(validate(setup));
+}
+
+TEST(RunParameters, NegativePipelineDepthIsAConfigError) {
+  SimSetup setup;
+  setup.noc.pipeline_stages = -1;
+  expect_config_error([&] { validate(setup); }, "noc.pipeline_stages");
+  expect_config_error([&] { build_network(setup.noc); }, "pipeline_stages");
+  setup.noc.pipeline_stages = 0;
+  EXPECT_NO_THROW(validate(setup));
+}
+
 TEST(RunParameters, UnsignedValuesAreCheckedAndEchoedAsTyped) {
   EXPECT_EQ(parse_unsigned("0", "--cycles"), 0u);
   EXPECT_EQ(parse_unsigned("18446744073709551615", "--cycles"),

@@ -243,17 +243,18 @@ TEST(RouterEpochCounters, TrackInjectionAndForwarding) {
   trace.add({0, 3, false, 5.0});  // 0 -> 1 -> 2 -> 3 along the top row
   net.run(trace, 1000 * kBaselinePeriodTicks);
 
-  const auto c0 = net.router(0).epoch_counters();
+  Router::EpochCounters c0, c1, c3;
+  net.router(0).epoch_counters_into(&c0);
+  net.router(1).epoch_counters_into(&c1);
+  net.router(3).epoch_counters_into(&c3);
   EXPECT_DOUBLE_EQ(c0.injected, 1.0);
   EXPECT_DOUBLE_EQ(c0.ejected, 0.0);
-  const auto c1 = net.router(1).epoch_counters();
   EXPECT_DOUBLE_EQ(c1.injected, 0.0);
   // Router 1 received the flit on its West port and sent it East.
   EXPECT_DOUBLE_EQ(
       c1.port_arrivals[static_cast<std::size_t>(Direction::kWest)], 1.0);
   EXPECT_DOUBLE_EQ(
       c1.port_departures[static_cast<std::size_t>(Direction::kEast)], 1.0);
-  const auto c3 = net.router(3).epoch_counters();
   EXPECT_DOUBLE_EQ(c3.ejected, 1.0);
   EXPECT_GT(c0.edges, 0.0);
   EXPECT_GT(c0.idle_fraction, 0.5);  // mostly idle in this window

@@ -294,6 +294,40 @@ TEST(Network, DrainModeRespectsHorizonCap) {
   EXPECT_LE(net.metrics().sim_ticks, 1000 * kBaselinePeriodTicks);
 }
 
+// A switch to a faster mode shortens a router's link delay, so with long
+// links a flit sent after the switch's stall can compute an arrival before
+// the flit sent just ahead of it on the same link. Links are FIFO: the
+// later flit arrives behind the earlier one, and every packet drains.
+TEST(Network, LongLinksStayFifoAcrossSpeedUps) {
+  struct Case {
+    PolicyKind twin;
+    std::uint64_t epoch_cycles;
+    int link_latency_cycles;
+  };
+  const Case cases[] = {{PolicyKind::kLeadTau, 20, 20},
+                        {PolicyKind::kLeadTau, 50, 20},
+                        {PolicyKind::kDozzNoc, 20, 20},
+                        {PolicyKind::kMlTurbo, 20, 14}};
+  const Topology topo = make_mesh(8, 8);
+  const Trace trace = generate_synthetic_trace(
+      topo, uniform_pattern(topo.num_cores()), 0.02, 4000, 1);
+  const PowerModel power;
+  SimoLdoRegulator regulator;
+  for (const Case& c : cases) {
+    NocConfig config;
+    config.epoch_cycles = c.epoch_cycles;
+    config.link_latency_cycles = c.link_latency_cycles;
+    auto policy = make_reactive_twin(c.twin, topo.num_routers());
+    Network net(topo, config, *policy, power, regulator);
+    net.run_until_drained(trace, 1000000 * kBaselinePeriodTicks);
+    const NetworkMetrics& m = net.metrics();
+    EXPECT_GT(m.mode_switches, 0u) << policy->name();
+    EXPECT_GT(m.packets_offered, 0u) << policy->name();
+    EXPECT_EQ(m.packets_delivered, m.packets_offered)
+        << policy->name() << ", " << c.epoch_cycles << "-cycle epochs, "
+        << c.link_latency_cycles << "-cycle links";
+  }
+}
 
 TEST(Network, RunsAreBitwiseDeterministic) {
   // The whole stack — trace generation, kernel ordering, arbitration,
