@@ -1,11 +1,11 @@
 #include "src/ckpt/checkpoint.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "src/common/atomic_file.hpp"
 #include "src/common/error.hpp"
+#include "src/common/json.hpp"
 #include "src/noc/network.hpp"
 
 namespace dozz {
@@ -109,30 +109,6 @@ int SweepManifest::find(const std::string& key) const {
 }
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Minimal strict parser over one flat JSON-object line: string and
 /// unsigned-integer values only, which is all the manifest writer emits.

@@ -1,10 +1,11 @@
 // The engine loop: the sequential indexed kernel over one event lane, the
-// lane plan shared with the sharded engine, and the run_loop driver that
-// picks between the two engines. begin_run and finish_run wrap every
-// driver (run_loop here; the linear-scan reference kernel the equivalence
-// tests run, tests/linear_kernel.cpp): resume validation, loop state and
-// log reservations before the kernel, metrics compilation after it. The
-// per-event phases the kernels invoke live in phases.cpp and
+// per-event body (run_event) it shares with the sharded engine's epoch
+// boundaries, the lane plan, and run_loop, which picks between the two
+// engines. begin_run and finish_run wrap every kernel entry point
+// (run_loop here; the linear-scan reference kernel the equivalence tests
+// run, tests/linear_kernel.cpp): resume validation, loop state and log
+// reservations before the kernel, metrics compilation after it. The
+// per-event phases run_event invokes live in phases.cpp and
 // epoch_phase.cpp.
 #include <algorithm>
 
@@ -92,10 +93,6 @@ void Network::schedule_edge(RouterId r) {
 Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
                                bool drain) {
   const auto& entries = trace.entries();
-  // Loop-invariant policy/config lookups, hoisted out of the hot loops.
-  const bool gating = gating_;
-  const bool punch = ctx_.config.lookahead_punch;
-
   DOZZ_ASSERT(lanes_.size() == 1);
   EventLane& lane = lanes_.front();
   lane.seed();
@@ -114,43 +111,49 @@ Tick Network::run_loop_indexed(const Trace& trace, Tick end_tick,
     const Tick t =
         std::min(std::min(trace_next, next_epoch_), lane.next_event());
     if (t >= end_tick) break;
-    DOZZ_ASSERT(t >= ctx_.now);
-    ctx_.now = t;
-    last_event_ = t;
-    ++kernel_events_;
-
-    // 1. Matured trace entries become pending packets at their source NI.
-    inject_matured(entries, trace_cursor_, gating, punch);
-
-    // 2. Matured responses, in NIC-id order.
-    const std::uint64_t matured = mature_due(lane, ctx_.now, gating, punch);
-    pending_responses_ -= matured;
-    ctx_.metrics.packets_offered += matured;
-
-    // 3. Epoch boundary: feature capture and DVFS mode selection.
-    // set_active_mode can pull a slow router's edge *earlier* (new period
-    // from now), so process_epoch republishes affected edges before the
-    // due-edge collection below.
-    bool at_epoch = false;
-    if (ctx_.now == next_epoch_) {
-      process_epoch(ctx_.now);
-      next_epoch_ += ctx_.config.epoch_ticks();
-      at_epoch = true;
-    }
-
-    // 4. Clock edges due now, in router-id order for determinism.
-    edge_steps_ += step_due(lane, *this, ctx_.now, gating);
-
-    // Epoch hook, fired only after the boundary iteration completed its
-    // clock edges: a checkpoint taken here resumes at the *next* kernel
-    // event, so the resumed run re-counts nothing (bit-identity).
-    if (at_epoch && ctx_.epoch_hook &&
-        !ctx_.epoch_hook(*this, ctx_.now, epochs_processed_)) {
-      interrupted_ = true;
-      break;
-    }
+    if (!run_event(t)) break;
   }
   return last_event_;
+}
+
+bool Network::run_event(Tick t) {
+  DOZZ_ASSERT(t >= ctx_.now);
+  ctx_.now = t;
+  last_event_ = t;
+  ++kernel_events_;
+
+  // 1. Matured trace entries become pending packets at their source NI.
+  inject_matured(running_trace_->entries(), trace_cursor_);
+
+  // 2. Matured responses, in NIC-id order (lanes are contiguous and
+  // ascending).
+  std::uint64_t matured = 0;
+  for (EventLane& lane : lanes_) matured += mature_due(lane, t);
+  pending_responses_ -= matured;
+  ctx_.metrics.packets_offered += matured;
+
+  // 3. Epoch boundary: feature capture and DVFS mode selection.
+  // set_active_mode can pull a slow router's edge *earlier* (new period
+  // from now), so process_epoch republishes affected edges before the
+  // due-edge collection below.
+  const bool at_epoch = t == next_epoch_;
+  if (at_epoch) {
+    process_epoch(t);
+    next_epoch_ += ctx_.config.epoch_ticks();
+  }
+
+  // 4. Clock edges due now, in router-id order for determinism.
+  for (EventLane& lane : lanes_) edge_steps_ += step_due(lane, *this, t);
+
+  // Epoch hook, fired only after the boundary iteration completed its
+  // clock edges: a checkpoint taken here resumes at the *next* kernel
+  // event, so the resumed run re-counts nothing (bit-identity).
+  if (at_epoch && ctx_.epoch_hook &&
+      !ctx_.epoch_hook(*this, t, epochs_processed_)) {
+    interrupted_ = true;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace dozz

@@ -3,15 +3,19 @@
 //
 // The router-id space is split into contiguous shards (ShardPlan), each
 // owned by one thread and holding one event lane (event_lane.hpp) over
-// its routers. A shard runs the sequential kernel's own per-event phases
-// (Network::offer_entry, mature_due, step_due) over its lane and
-// trace slice up to a conservative horizon. Its router environment
-// (ShardRuntime::Env, a RouterEnv the shard's step_due binds at compile
-// time) applies effects on its own routers through the Network's
-// callbacks and stages every cross-shard effect (flit delivery, credit
-// return, Power Punch secure marks) in per-destination outboxes. At the
-// window barrier receivers apply the staged traffic, a serial section on
-// the coordinator picks the next window, and the round repeats.
+// its routers. A window is the only parallel round: a shard runs the
+// sequential kernel's own per-event phases (Network::offer_entry,
+// mature_due, step_due) over its lane and trace slice up to a
+// conservative horizon. Its router environment (ShardRuntime::Env, a
+// RouterEnv the shard's step_due binds at compile time) applies effects
+// on its own routers through the Network's callbacks and stages every
+// cross-shard effect (flit delivery, credit return, Power Punch secure
+// marks) in per-destination outboxes. At the window barrier receivers
+// apply the staged traffic, a serial section on the coordinator picks the
+// next window, and the round repeats. An epoch boundary, the one point
+// where modes change, is not a round: the serial section merges the
+// shards' state and runs it as one sequential kernel event
+// (Network::run_event over every lane) while the workers are parked.
 //
 // Why the windows are exact, not approximate: every cross-shard effect
 // carries an arrival tick at least one fastest-mode clock period
@@ -33,9 +37,9 @@
 // shard) order, which equals the sequential (tick, router-id) order
 // because shards are contiguous and ascending in router id.
 //
-// Eligibility (Network::plan_shard_count) excludes everything that
-// would couple shards below the lookahead or perturb report-visible
-// state: power gating (zero-latency wakes, remote state reads),
+// Eligibility (resolve_shard_threads, Network::plan_shard_count) excludes
+// everything that would couple shards below the lookahead or perturb
+// report-visible state: power gating (zero-latency wakes, remote state reads),
 // fault injection (one global RNG in event order), observers (global
 // event order), extended feature capture (in-window arrival counters),
 // and packet-id/VC coupling (ids must be trace-positional or VC-inert).
@@ -68,10 +72,8 @@ struct ShardRuntime {
   /// What the next parallel round executes, published by the serial
   /// section before the barrier release that starts the round.
   enum class Cmd : std::uint8_t {
-    kWindow,       ///< Run local events in [w_begin_, w_end_).
-    kEpochInject,  ///< Boundary phases 1-2 (trace + responses) at t_epoch_.
-    kEpochEdges,   ///< Boundary phase 4 (clock edges due at t_epoch_).
-    kExit,         ///< Parallel phase over; workers return.
+    kWindow,  ///< Run local events in [w_begin_, w_end_).
+    kExit,    ///< Parallel phase over; workers return.
   };
 
   /// A staged cross-shard effect, applied by the receiving shard after
@@ -255,9 +257,9 @@ struct ShardRuntime {
       Shard& sh = shards_[static_cast<std::size_t>(s)];
       sh.index = s;
       sh.lane = &net.lanes_[static_cast<std::size_t>(s)];
+      sh.lane->seed();
       sh.out.resize(static_cast<std::size_t>(num_shards));
       sh.id_step = static_cast<std::uint64_t>(num_shards);
-      sh.next_id = net.next_packet_id_ + static_cast<std::uint64_t>(s);
     }
     for (std::uint32_t gi = 0;
          gi < static_cast<std::uint32_t>(entries.size()); ++gi) {
@@ -266,17 +268,7 @@ struct ShardRuntime {
                   net.lane_plan_.owner[static_cast<std::size_t>(home)])]
           .entry_idx.push_back(gi);
     }
-    for (auto& sh : shards_) {
-      // Resume support: entries below the checkpointed cursor are
-      // already consumed; entry_idx is ascending, so the consumed
-      // prefix of each shard's slice is a lower_bound away.
-      sh.cursor = static_cast<std::size_t>(
-          std::lower_bound(sh.entry_idx.begin(), sh.entry_idx.end(),
-                           static_cast<std::uint32_t>(net.trace_cursor_)) -
-          sh.entry_idx.begin());
-      sh.lane->seed();
-      sh.next_min = next_event(sh);
-    }
+    resync();  // a resumed run has consumed a prefix of the trace
   }
 
   /// Drives the whole parallel phase; on return the Network's canonical
@@ -330,7 +322,6 @@ struct ShardRuntime {
   Cmd cmd_ = Cmd::kExit;
   Tick w_begin_ = 0;
   Tick w_end_ = 0;
-  Tick t_epoch_ = 0;
 
   bool trace_positional_ids_ = false;
   Tick last_entry_tick_ = 0;
@@ -341,9 +332,11 @@ struct ShardRuntime {
  private:
   // --- Thread loops -----------------------------------------------------
 
+  // Workers start only when the first command is a window, and return as
+  // soon as one is kExit, so every round they run is a window.
   void worker_loop(Shard& s) {
     while (true) {
-      run_cmd(s);
+      guarded(s, [&] { do_window(s); });
       timed_wait(s, mid_);
       guarded(s, [&] { apply_inbox(s); });
       timed_wait(s, end_);
@@ -354,7 +347,7 @@ struct ShardRuntime {
   void coordinator_loop() {
     Shard& s0 = shards_[0];
     while (true) {
-      run_cmd(s0);
+      guarded(s0, [&] { do_window(s0); });
       timed_wait(s0, mid_);
       guarded(s0, [&] { apply_inbox(s0); });
       const auto t0 = std::chrono::steady_clock::now();
@@ -363,22 +356,6 @@ struct ShardRuntime {
                              std::chrono::steady_clock::now() - t0)
                              .count();
       if (cmd_ == Cmd::kExit) return;
-    }
-  }
-
-  void run_cmd(Shard& s) {
-    switch (cmd_) {
-      case Cmd::kWindow:
-        guarded(s, [&] { do_window(s); });
-        break;
-      case Cmd::kEpochInject:
-        guarded(s, [&] { inject_and_mature(s, t_epoch_); });
-        break;
-      case Cmd::kEpochEdges:
-        guarded(s, [&] { do_epoch_edges(s); });
-        break;
-      case Cmd::kExit:
-        break;
     }
   }
 
@@ -409,7 +386,8 @@ struct ShardRuntime {
 
   /// The shard-local event loop over [w_begin_, w_end_): the sequential
   /// kernel's phases 1, 2 and 4 over this shard's lane and trace slice. No
-  /// epoch phase (windows never cross a boundary).
+  /// epoch phase (windows end at a boundary, which the serial section
+  /// runs).
   void do_window(Shard& s) {
     Env env(*this, s);
     while (true) {
@@ -421,27 +399,10 @@ struct ShardRuntime {
       DOZZ_ASSERT(t >= w_begin_);
       s.last_event = t;
       ++s.d_events;
-      inject_and_mature(s, t);
-      s.d_steps += net_.step_due(*s.lane, env, t, /*gating=*/false);
+      inject_shard(s, t);
+      s.d_offered += net_.mature_due(*s.lane, t);
+      s.d_steps += net_.step_due(*s.lane, env, t);
     }
-  }
-
-  /// Phases 1-2 at `now`. At an epoch boundary they run before
-  /// process_epoch in the serial section, exactly like the sequential
-  /// boundary iteration, so the matured work counts into the closing epoch.
-  void inject_and_mature(Shard& s, Tick now) {
-    inject_shard(s, now);
-    s.d_offered +=
-        net_.mature_due(*s.lane, now, /*gating=*/false, /*punch=*/false);
-  }
-
-  /// Epoch-boundary phase 4: edges still due at t_epoch_. Routers whose
-  /// edge was republished by a mode switch now sit at t_epoch_ +
-  /// period and are correctly skipped, matching the sequential order.
-  void do_epoch_edges(Shard& s) {
-    Env env(*this, s);
-    s.d_steps += net_.step_due(*s.lane, env, t_epoch_, /*gating=*/false);
-    s.next_min = next_event(s);
   }
 
   /// Applies staged ops addressed to this shard, source shards in
@@ -504,33 +465,35 @@ struct ShardRuntime {
     return std::min(trace_next, s.lane->next_event());
   }
 
+  /// Re-seeds every shard from the Network's canonical state, after a
+  /// resume or an epoch boundary ran events on it: the trace cursor (the
+  /// consumed entries are a global prefix and entry_idx is ascending, so a
+  /// shard's consumed part is a lower_bound away), the response-id stream
+  /// and the next local event.
+  void resync() {
+    for (auto& sh : shards_) {
+      sh.cursor = static_cast<std::size_t>(
+          std::lower_bound(sh.entry_idx.begin(), sh.entry_idx.end(),
+                           static_cast<std::uint32_t>(net_.trace_cursor_)) -
+          sh.entry_idx.begin());
+      sh.next_id = net_.next_packet_id_ + static_cast<std::uint64_t>(sh.index);
+      sh.next_min = next_event(sh);
+    }
+  }
+
   // --- Serial sections --------------------------------------------------
 
   /// Runs on the coordinator inside the end-of-round barrier while the
-  /// workers are parked: merges what the completed round requires and
-  /// publishes the next command. Never throws — a thrown error here
-  /// would skip the command publish and deadlock the workers — so
-  /// everything is caught, recorded, and turned into kExit.
+  /// workers are parked: publishes the next command. Never throws — a
+  /// thrown error here would skip the command publish and deadlock the
+  /// workers — so everything is caught, recorded, and turned into kExit.
   void serial_section() {
-    const Cmd completed = cmd_;
     try {
       if (failed_.load(std::memory_order_relaxed)) {
         cmd_ = Cmd::kExit;
         return;
       }
-      switch (completed) {
-        case Cmd::kWindow:
-          decide_next();
-          break;
-        case Cmd::kEpochInject:
-          epoch_serial();
-          break;
-        case Cmd::kEpochEdges:
-          post_epoch_serial();
-          break;
-        case Cmd::kExit:
-          break;
-      }
+      decide_next();
     } catch (...) {
       serial_error_ = std::current_exception();
       cmd_ = Cmd::kExit;
@@ -544,25 +507,34 @@ struct ShardRuntime {
   /// drain mode, when the trace is exhausted — the sequential tail then
   /// owns the drain-termination check, so the parallel phase can never
   /// run past the tick where the sequential engine would have stopped).
+  /// An epoch boundary runs right here, on merged state (the feature
+  /// capture and the watchdog read global metrics), as the sequential
+  /// kernel's own event; DESIGN.md §11 says what its hook sees.
   void decide_next() {
-    Tick t = net_.next_epoch_;
-    for (const auto& sh : shards_) t = std::min(t, sh.next_min);
-    if (drain_) {
-      std::size_t consumed = 0;
-      for (const auto& sh : shards_) consumed += sh.cursor;
-      if (consumed >= trace_.entries().size()) {
+    Tick t = 0;
+    while (true) {
+      t = net_.next_epoch_;
+      for (const auto& sh : shards_) t = std::min(t, sh.next_min);
+      if (drain_) {
+        std::size_t consumed = 0;
+        for (const auto& sh : shards_) consumed += sh.cursor;
+        if (consumed >= trace_.entries().size()) {
+          cmd_ = Cmd::kExit;
+          return;
+        }
+      }
+      if (t >= end_tick_) {
         cmd_ = Cmd::kExit;
         return;
       }
-    }
-    if (t >= end_tick_) {
-      cmd_ = Cmd::kExit;
-      return;
-    }
-    if (t == net_.next_epoch_) {
-      t_epoch_ = t;
-      cmd_ = Cmd::kEpochInject;
-      return;
+      if (t < net_.next_epoch_) break;
+      merge_state();
+      const bool go_on = net_.run_event(t);
+      resync();
+      if (!go_on) {
+        cmd_ = Cmd::kExit;
+        return;
+      }
     }
     w_begin_ = t;
     Tick w_end = std::min(t + kLookaheadTicks,
@@ -574,35 +546,6 @@ struct ShardRuntime {
     if (drain_) w_end = std::min(w_end, last_entry_tick_ + 1);
     w_end_ = w_end;
     cmd_ = Cmd::kWindow;
-  }
-
-  /// Between the boundary's phases 1-2 and its clock edges: the exact
-  /// sequential boundary sequence — merge (the feature capture and the
-  /// watchdog read globally consistent metrics), clock to the boundary,
-  /// process the epoch (mode switches republish edges through
-  /// Network::schedule_edge into the shard calendars), advance it.
-  void epoch_serial() {
-    merge_state();
-    net_.ctx_.now = t_epoch_;
-    net_.last_event_ = t_epoch_;
-    ++net_.kernel_events_;
-    net_.process_epoch(t_epoch_);
-    net_.next_epoch_ += net_.ctx_.config.epoch_ticks();
-    cmd_ = Cmd::kEpochEdges;
-  }
-
-  /// After the boundary's clock edges: merge them, then fire the epoch
-  /// hook on fully consistent state (a checkpoint taken here is
-  /// bit-identical to one taken by the sequential engine).
-  void post_epoch_serial() {
-    merge_state();
-    if (net_.ctx_.epoch_hook &&
-        !net_.ctx_.epoch_hook(net_, t_epoch_, net_.epochs_processed_)) {
-      net_.interrupted_ = true;
-      cmd_ = Cmd::kExit;
-      return;
-    }
-    decide_next();
   }
 
   /// Folds every shard's deltas into the canonical counters and replays

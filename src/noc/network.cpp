@@ -79,13 +79,30 @@ void validate(const NocConfig& config, const Topology& topo,
 }
 
 int resolve_shard_threads(const NocConfig& config) {
-  if (config.shard_threads > 0) return config.shard_threads;
-  if (const char* env = std::getenv("DOZZ_SHARD_THREADS")) {
-    const int n = parse_signed(env, "DOZZ_SHARD_THREADS", 0,
-                               static_cast<int>(kMaxThreads));
-    if (n > 0) return n;
+  int shards = config.shard_threads;
+  if (shards <= 0) {
+    const char* env = std::getenv("DOZZ_SHARD_THREADS");
+    shards = env == nullptr ? 1
+                            : parse_signed(env, "DOZZ_SHARD_THREADS", 0,
+                                           static_cast<int>(kMaxThreads));
   }
-  return 1;
+  // Eligibility the configuration alone decides (Network::plan_shard_count
+  // adds what needs the network): the sharded engine replays the
+  // sequential kernel bit for bit only where every cross-shard interaction
+  // is deferrable by the lookahead window (DESIGN.md §11). Everything else
+  // runs sequentially rather than approximating.
+  // Fault injection draws from one global RNG stream in event order.
+  if (config.faults.enabled) return 1;
+  // Extended feature capture reads per-window idle/secure counters whose
+  // exact values depend on in-window arrival visibility.
+  if (config.collect_extended_log) return 1;
+  // Packet ids must be report-inert (see engine_sharded.cpp): either the
+  // NIC's id-keyed VC choice has a single candidate, or (auto_response
+  // off) ids are trace-positional and reproduced exactly.
+  const int injectable_vcs =
+      config.vcs_per_port / std::max(1, config.vc_classes);
+  if (config.auto_response && injectable_vcs != 1) return 1;
+  return std::max(shards, 1);
 }
 
 int Network::plan_shard_count() const {
@@ -93,28 +110,14 @@ int Network::plan_shard_count() const {
   const int routers = static_cast<int>(routers_.size());
   if (shards > routers) shards = routers;
   if (shards <= 1) return 1;
-  // Eligibility: the sharded engine replays the sequential kernel bit for
-  // bit only for configurations where every cross-shard interaction is
-  // deferrable by the lookahead window (DESIGN.md §11). Everything else
-  // falls back to the sequential engine rather than approximating.
-  const NocConfig& c = ctx_.config;
   // Gating couples shards at zero lookahead: a wake request must take
   // effect at the requesting tick, and gate/wake decisions read remote
   // router state mid-window.
   if (gating_) return 1;
-  // Extended feature capture reads per-window idle/secure counters whose
-  // exact values depend on in-window arrival visibility.
-  if (ctx_.policy->wants_extended_features() || c.collect_extended_log)
-    return 1;
-  // Fault injection draws from one global RNG stream in event order.
-  if (c.faults.enabled) return 1;
+  // Extended feature capture, as in resolve_shard_threads.
+  if (ctx_.policy->wants_extended_features()) return 1;
   // Observer callbacks fire in global event order, which shards interleave.
   if (ctx_.observer != nullptr) return 1;
-  // Packet ids must be report-inert (see engine_sharded.cpp): either the
-  // NIC's id-keyed VC choice has a single candidate, or (auto_response
-  // off) ids are trace-positional and reproduced exactly.
-  const int injectable_vcs = c.vcs_per_port / std::max(1, c.vc_classes);
-  if (c.auto_response && injectable_vcs != 1) return 1;
   return shards;
 }
 

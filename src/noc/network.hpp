@@ -217,23 +217,30 @@ class Network {
   /// `last_event` (drain mode or an interrupted run) or the run horizon.
   void finish_run(Tick last_event);
   /// The indexed kernel: one event lane over every router supplies the
-  /// next event time, and only routers/NICs whose event is due at now_ are
-  /// visited. Bit-identical to the linear-scan reference kernel
+  /// next event time, and run_event visits only the routers/NICs whose
+  /// event is due then. Bit-identical to the linear-scan reference kernel
   /// (tests/linear_kernel.hpp; same router-id-order tie-breaking at equal
   /// ticks). Returns the last event tick.
   Tick run_loop_indexed(const Trace& trace, Tick end_tick, bool drain);
   /// The sharded engine (engine_sharded.cpp, DESIGN.md §11): contiguous
   /// router-id shards, one event lane each, run conservative lookahead
   /// windows on worker threads and exchange boundary flits/credits at
-  /// deterministic barriers.
-  /// Bit-identical to run_loop_indexed; once the trace is exhausted (drain
-  /// mode) or the parallel phase cannot advance further, merges canonical
-  /// state and finishes via run_loop_indexed. Returns the last event tick.
+  /// deterministic barriers; every epoch boundary is one run_event on the
+  /// coordinator. Bit-identical to run_loop_indexed; once the trace is
+  /// exhausted (drain mode) or the parallel phase cannot advance further,
+  /// merges canonical state and finishes via run_loop_indexed. Returns the
+  /// last event tick.
   Tick run_loop_sharded(const Trace& trace, Tick end_tick, bool drain,
                         int shards);
-  /// Effective shard count for this run: resolve_shard_threads() clamped
-  /// to the router count when the configuration is one the sharded engine
-  /// replays exactly, else 1 (sequential fallback; see
+  /// One kernel event at tick `t` over every lane: matured trace entries
+  /// (phase 1), due responses (phase 2), the epoch boundary if `t` is one
+  /// (process_epoch), due clock edges in router-id order (phase 4), then
+  /// the epoch hook. Returns false when the hook stopped the run.
+  bool run_event(Tick t);
+  /// Effective shard count for this run: resolve_shard_threads(), which
+  /// already rules out what the config alone decides, clamped to the
+  /// router count; 1 (sequential fallback) for a gating policy, a policy
+  /// that wants extended features, or an observer (see
   /// NocConfig::shard_threads for the eligibility list).
   int plan_shard_count() const;
   void process_epoch(Tick now);
@@ -263,27 +270,27 @@ class Network {
   // --- Per-event phases (phases.cpp; phase 4 inline here) ---
   // Every kernel runs these; none of them touches a run counter, so the
   // sharded engine can run them on shard threads and each caller books
-  // what they return into its own counters.
+  // what they return into its own counters. Their gating and Power Punch
+  // hooks read gating_, which is false whenever shards engage.
   /// Phase 1, one trace entry: it becomes packet `id`, pending at its
   /// source NI since `now`. Returns the source router.
   RouterId offer_entry(const TraceEntry& e, std::uint64_t id, Tick now);
   /// Phase 1 of the sequential kernels: every trace entry matured at the
   /// clock, with observer and Power Punch hooks.
   void inject_matured(const std::vector<TraceEntry>& entries,
-                      std::size_t& cursor, bool gating, bool punch);
+                      std::size_t& cursor);
   /// Phase 2, one NIC: moves its responses due at `now` into the injection
   /// queues. Returns the packets matured.
-  int mature_nic(NetworkInterface& n, Tick now, bool gating, bool punch);
+  int mature_nic(NetworkInterface& n, Tick now);
   /// Phase 2 over a lane: every NIC response due at `now`, in NIC-id
   /// order. Returns the packets matured.
-  std::uint64_t mature_due(EventLane& lane, Tick now, bool gating,
-                           bool punch);
+  std::uint64_t mature_due(EventLane& lane, Tick now);
   /// Phase 4, one router: account, pre-step, inject, pipeline against
   /// `env`, post-step, gate check, advance clock. Phase 4 is defined here,
   /// in the header, and is a template over the environment, so each
   /// engine's translation unit compiles its hottest loop as one unit.
   template <RouterEnv Env>
-  void step_router(RouterId id, Env& env, Tick now, bool gating) {
+  void step_router(RouterId id, Env& env, Tick now) {
     const auto i = static_cast<std::size_t>(id);
     Router& r = routers_[i];
     r.account_until(now);
@@ -291,7 +298,7 @@ class Network {
     nics_[i].inject_into(r, now);
     r.pipeline_step(now, env);
     r.post_step(now, nics_[i].has_backlog());
-    if (gating && ctx_.policy->may_gate(id) && r.can_gate(now) &&
+    if (gating_ && ctx_.policy->may_gate(id) && r.can_gate(now) &&
         (ctx_.injector == nullptr || !ctx_.policy->gating_degraded(id))) {
       r.gate_off(now);
       if (ctx_.observer != nullptr) ctx_.observer->on_gate_off(now, id);
@@ -303,12 +310,12 @@ class Network {
   /// at `now` (clocks advance by a period, wakeups by a positive penalty),
   /// so the due list is final once collected. Returns the edges stepped.
   template <RouterEnv Env>
-  std::uint64_t step_due(EventLane& lane, Env& env, Tick now, bool gating) {
+  std::uint64_t step_due(EventLane& lane, Env& env, Tick now) {
     std::uint64_t steps = 0;
     for (const RouterId id : lane.take_due_edges(now)) {
       const Router& r = routers_[static_cast<std::size_t>(id)];
       if (r.next_edge() > now) continue;  // rescheduled since collection
-      step_router(id, env, now, gating);
+      step_router(id, env, now);
       ++steps;
       if (r.next_edge() < kInfTick) lane.push_edge(id, r.next_edge());
     }
@@ -330,7 +337,7 @@ class Network {
   /// threaded through the extracted phase TUs.
   SimContext ctx_;
   /// The policy gates routers (PowerController::gating_enabled(), fixed
-  /// for a policy's lifetime): read by secure() on every call.
+  /// for a policy's lifetime): read by secure() and every phase.
   bool gating_ = false;
 
   std::vector<Router> routers_;

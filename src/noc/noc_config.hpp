@@ -83,8 +83,11 @@ struct NocConfig {
 
 /// Effective shard thread count for `config`: `config.shard_threads` when
 /// explicitly positive, else the DOZZ_SHARD_THREADS env var when positive,
-/// else 1. Always >= 1. Throws ConfigError when DOZZ_SHARD_THREADS is not
-/// an integer from 0 to kMaxThreads. Defined in network.cpp next to the other env resolvers;
+/// else 1 — and 1 whenever the config alone rules the sharded engine out
+/// (faults enabled, extended-log capture, or auto_response with more than
+/// one injectable VC). Always >= 1. Throws ConfigError when
+/// DOZZ_SHARD_THREADS is read and is not an integer from 0 to kMaxThreads.
+/// Defined in network.cpp next to the other env resolvers;
 /// run_batch()/run_batch_supervised() use it to split the thread budget
 /// between sweep-level and intra-run parallelism.
 int resolve_shard_threads(const NocConfig& config);

@@ -149,7 +149,7 @@ RouterId Network::offer_entry(const TraceEntry& e, std::uint64_t id,
 }
 
 void Network::inject_matured(const std::vector<TraceEntry>& entries,
-                             std::size_t& cursor, bool gating, bool punch) {
+                             std::size_t& cursor) {
   while (cursor < entries.size() &&
          entries[cursor].inject_tick() <= ctx_.now) {
     const TraceEntry& e = entries[cursor++];
@@ -157,10 +157,10 @@ void Network::inject_matured(const std::vector<TraceEntry>& entries,
     ++ctx_.metrics.packets_offered;
     if (ctx_.observer != nullptr)
       ctx_.observer->on_packet_offered(ctx_.now, e.src, e.dst, e.is_response);
-    if (gating) {
+    if (gating_) {
       // The destination's home router is only needed on the punch path, so
       // compute it lazily rather than per entry.
-      if (punch) {
+      if (ctx_.config.lookahead_punch) {
         secure_path(home, ctx_.topo->router_of_core(e.dst), ctx_.now);
       } else {
         secure(home, ctx_.now);
@@ -169,13 +169,12 @@ void Network::inject_matured(const std::vector<TraceEntry>& entries,
   }
 }
 
-int Network::mature_nic(NetworkInterface& n, Tick now, bool gating,
-                        bool punch) {
-  const bool punch_paths = gating && punch;
+int Network::mature_nic(NetworkInterface& n, Tick now) {
+  const bool punch_paths = gating_ && ctx_.config.lookahead_punch;
   if (punch_paths) dsts_scratch_.clear();
   const int matured =
       n.mature_responses(now, punch_paths ? &dsts_scratch_ : nullptr);
-  if (matured > 0 && gating) {
+  if (matured > 0 && gating_) {
     if (punch_paths) {
       const Topology& topo = *ctx_.topo;
       const RouterId home = n.router();
@@ -188,13 +187,12 @@ int Network::mature_nic(NetworkInterface& n, Tick now, bool gating,
   return matured;
 }
 
-std::uint64_t Network::mature_due(EventLane& lane, Tick now, bool gating,
-                                  bool punch) {
+std::uint64_t Network::mature_due(EventLane& lane, Tick now) {
   std::uint64_t matured = 0;
   for (const RouterId id : lane.take_due_responses(now)) {
     NetworkInterface& n = nics_[static_cast<std::size_t>(id)];
     if (n.next_response_tick() > now) continue;  // stale entry
-    matured += static_cast<std::uint64_t>(mature_nic(n, now, gating, punch));
+    matured += static_cast<std::uint64_t>(mature_nic(n, now));
     if (n.next_response_tick() < kInfTick)
       lane.push_response(id, n.next_response_tick());
   }

@@ -1,34 +1,9 @@
 #include "src/sim/report.hpp"
 
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 
 namespace dozz {
-
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size() + 2);
-  for (char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 namespace {
 

@@ -6,13 +6,11 @@
 #include <iosfwd>
 #include <string>
 
+#include "src/common/json.hpp"  // json_escape, for callers of this header
 #include "src/noc/stats.hpp"
 #include "src/sim/runner.hpp"
 
 namespace dozz {
-
-/// Escapes a string for inclusion in a JSON document.
-std::string json_escape(const std::string& raw);
 
 /// Serializes the metrics of one run as a JSON object (single line).
 std::string metrics_to_json(const NetworkMetrics& metrics);

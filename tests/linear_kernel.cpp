@@ -28,9 +28,6 @@ Tick LinearKernel::loop(Network& net, const Trace& trace, Tick end_tick,
                         bool drain) {
   SimContext& ctx = net.ctx_;
   const auto& entries = trace.entries();
-  // Loop-invariant policy/config lookups, hoisted out of the hot loops.
-  const bool gating = ctx.policy->gating_enabled();
-  const bool punch = ctx.config.lookahead_punch;
 
   auto drained = [&]() {
     if (net.trace_cursor_ < entries.size()) return false;
@@ -55,14 +52,13 @@ Tick LinearKernel::loop(Network& net, const Trace& trace, Tick end_tick,
     ++net.kernel_events_;
 
     // 1. Matured trace entries become pending packets at their source NI.
-    net.inject_matured(entries, net.trace_cursor_, gating, punch);
+    net.inject_matured(entries, net.trace_cursor_);
 
     // 2. Matured responses.
     std::uint64_t matured = 0;
     for (auto& n : net.nics_) {
       if (n.next_response_tick() > ctx.now) continue;
-      matured += static_cast<std::uint64_t>(
-          net.mature_nic(n, ctx.now, gating, punch));
+      matured += static_cast<std::uint64_t>(net.mature_nic(n, ctx.now));
     }
     net.pending_responses_ -= matured;
     ctx.metrics.packets_offered += matured;
@@ -78,7 +74,7 @@ Tick LinearKernel::loop(Network& net, const Trace& trace, Tick end_tick,
     // 4. Clock edges, in router-id order for determinism.
     for (std::size_t i = 0; i < net.routers_.size(); ++i) {
       if (net.routers_[i].next_edge() > ctx.now) continue;
-      net.step_router(static_cast<RouterId>(i), net, ctx.now, gating);
+      net.step_router(static_cast<RouterId>(i), net, ctx.now);
       ++net.edge_steps_;
     }
 

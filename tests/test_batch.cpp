@@ -221,6 +221,36 @@ TEST(ThreadPool, DefaultThreadCountHonorsEnv) {
   }
 }
 
+// A batch divides its thread budget by resolve_shard_threads, so the count
+// must be 1 for every config the sharded engine cannot run, or a sweep of
+// such runs would sit on a fraction of its cores.
+TEST(ShardThreads, ResolvesToOneForConfigsThatCannotShard) {
+  ScopedEnv env("DOZZ_SHARD_THREADS", "4");
+  NocConfig no_responses;  // ids are trace-positional
+  no_responses.auto_response = false;
+  NocConfig single_vc;  // response ids choose no VC
+  single_vc.vcs_per_port = 1;
+  NocConfig torus;  // dateline classes: one injectable VC each
+  configure_topology("torus", "", &torus);
+  for (const NocConfig* c : {&no_responses, &single_vc, &torus})
+    EXPECT_EQ(resolve_shard_threads(*c), 4);
+  NocConfig explicit_width = no_responses;
+  explicit_width.shard_threads = 3;
+  EXPECT_EQ(resolve_shard_threads(explicit_width), 3);
+
+  NocConfig two_vcs;  // the default: responses pick one of two VCs
+  NocConfig faults = no_responses;
+  faults.faults.enabled = true;
+  NocConfig extended = no_responses;
+  extended.collect_extended_log = true;
+  for (const NocConfig* c : {&two_vcs, &faults, &extended})
+    EXPECT_EQ(resolve_shard_threads(*c), 1);
+
+  env.set("four");  // malformed whatever the config
+  for (const NocConfig* c : {&no_responses, &two_vcs, &faults})
+    EXPECT_THROW(resolve_shard_threads(*c), ConfigError);
+}
+
 // --- The training graph of run_batch_supervised ---------------------------
 
 /// Points the weight cache at a fresh, private directory for a scope. The

@@ -4,7 +4,9 @@
 // thread count: identical metrics (down to RunningStat internals) and
 // identical epoch logs for every eligible configuration,
 // in fixed-window and run-to-drain modes, on mesh and torus, and across
-// checkpoints taken under one shard count and restored under another.
+// checkpoints taken under one shard count and restored under another. At
+// every epoch boundary of a Baseline run the router and NIC records match
+// the sequential engine's too.
 // Ineligible configurations (gating policies, armed faults) must fall
 // back to the sequential engine — also bit-identically, and visibly via
 // Network::shards_used() so an equivalence pass can never be a fallback
@@ -286,6 +288,96 @@ TEST(ShardCheckpoint, FixedWindowResumeSeedsSeveralPendingResponses) {
       expect_epoch_logs_identical(ref.epoch_log, resumed.epoch_log);
     }
   }
+}
+
+/// Every router's and NIC's checkpoint record at each epoch hook of one
+/// Baseline run under `shard_threads`: records[boundary][2 * id] is router
+/// `id`, records[boundary][2 * id + 1] its NIC.
+std::vector<std::vector<std::vector<unsigned char>>> boundary_records(
+    const SimSetup& base, const Trace& trace, int shard_threads,
+    int* shards_used) {
+  SimSetup setup = base;
+  setup.noc.shard_threads = shard_threads;
+  const Topology topo = setup.make_topology();
+  auto policy = make_policy(PolicyKind::kBaseline, topo.num_routers());
+  PowerModel power;
+  SimoLdoRegulator regulator;
+  Network net(topo, setup.noc, *policy, power, regulator);
+  std::vector<std::vector<std::vector<unsigned char>>> records;
+  net.set_epoch_hook([&](Network& n, Tick, std::uint64_t) {
+    auto& at = records.emplace_back();
+    for (RouterId r = 0; r < topo.num_routers(); ++r) {
+      CkptWriter rw;
+      n.router(r).save_state(rw);
+      at.push_back(rw.bytes());
+      CkptWriter nw;
+      n.nic(r).walk_state(nw);
+      at.push_back(nw.bytes());
+    }
+    return true;
+  });
+  drive(net, setup, trace, /*linear=*/false);
+  *shards_used = net.shards_used();
+  return records;
+}
+
+// An epoch boundary runs on the coordinator as one sequential kernel
+// event, so every router and NIC record at every boundary equals the
+// sequential engine's, byte for byte. A boundary that stepped its clock
+// edges in parallel would leave the receivers of cross-shard flits with
+// idle counters the sequential engine never produces: the sender's flit
+// would still wait in an outbox while they step. Baseline only: under
+// DVFS a slower receiver can carry such an idle_cycles_ lag from inside a
+// window across a boundary (DESIGN.md §11).
+TEST(ShardBoundary, RecordsMatchSequentialAtEveryBoundary) {
+  for (bool drain : {false, true}) {
+    SCOPED_TRACE(drain ? "drain" : "fixed window");
+    SimSetup setup = make_setup(Variant::kMeshNoAutoResp, drain);
+    setup.noc.epoch_cycles = 100;
+    const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
+    int used = 0;
+    const auto seq = boundary_records(setup, trace, 1, &used);
+    ASSERT_GT(seq.size(), 20u);
+    for (int shards : {2, 4, 8}) {
+      SCOPED_TRACE(shards);
+      const auto par = boundary_records(setup, trace, shards, &used);
+      EXPECT_EQ(used, shards);
+      ASSERT_EQ(par.size(), seq.size());
+      std::size_t differing = 0;
+      std::string first;
+      for (std::size_t b = 0; b < seq.size(); ++b)
+        for (std::size_t i = 0; i < seq[b].size(); ++i)
+          if (par[b][i] != seq[b][i] && differing++ == 0)
+            first = "boundary " + std::to_string(b + 1) + ", " +
+                    (i % 2 == 0 ? "router " : "NIC ") + std::to_string(i / 2);
+      EXPECT_EQ(differing, 0u) << "first difference: " << first;
+    }
+  }
+}
+
+// A boundary that throws does so on the coordinator while the workers
+// are parked; the run must raise that exception, not hang or terminate.
+TEST(ShardBoundary, ThrowingBoundaryPropagatesFromRun) {
+  SimSetup setup = make_setup(Variant::kMeshNoAutoResp, /*drain=*/false);
+  setup.noc.shard_threads = 4;
+  const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
+  const Topology topo = setup.make_topology();
+  auto policy = make_policy(PolicyKind::kBaseline, topo.num_routers());
+  PowerModel power;
+  SimoLdoRegulator regulator;
+  Network net(topo, setup.noc, *policy, power, regulator);
+  net.set_epoch_hook([](Network&, Tick now, std::uint64_t epochs) {
+    if (epochs == 2) throw SimStallError("hook stop at epoch 2", now);
+    return true;
+  });
+  try {
+    net.run(trace, setup.end_tick());
+    ADD_FAILURE() << "the run finished despite the throwing hook";
+  } catch (const SimStallError& e) {
+    EXPECT_STREQ(e.what(), "hook stop at epoch 2");
+    EXPECT_EQ(e.stall_tick(), 2 * setup.noc.epoch_ticks());
+  }
+  EXPECT_EQ(net.shards_used(), 4);
 }
 
 // Thread-sanitizer smoke (the `tsan_shard_smoke` ctest runs exactly this
