@@ -1,13 +1,14 @@
 // The engine loop: the sequential indexed kernel over one event lane, the
 // per-event body (run_event) it shares with the sharded engine's epoch
-// boundaries, the lane plan, and run_loop, which picks between the two
-// engines. begin_run and finish_run wrap every kernel entry point
-// (run_loop here; the linear-scan reference kernel the equivalence tests
-// run, tests/linear_kernel.cpp): resume validation, loop state and log
-// reservations before the kernel, metrics compilation after it. The
-// per-event phases run_event invokes live in phases.cpp and
+// boundaries, the fold of the lanes' tallies, the lane plan, and run_loop,
+// which picks between the two engines. begin_run and finish_run wrap every
+// kernel entry point (run_loop here; the linear-scan reference kernel the
+// equivalence tests run, tests/linear_kernel.cpp): resume validation, loop
+// state and log reservations before the kernel, metrics compilation after
+// it. The per-event phases run_event invokes live in phases.cpp and
 // epoch_phase.cpp.
 #include <algorithm>
+#include <utility>
 
 #include "src/ckpt/serial.hpp"
 #include "src/common/error.hpp"
@@ -77,12 +78,56 @@ void Network::run_loop(const Trace& trace, Tick end_tick, bool drain) {
 }
 
 void Network::split_lanes(int shards) {
+  for (const EventLane& lane : lanes_) DOZZ_ASSERT(lane.tally().empty());
   const int n = static_cast<int>(routers_.size());
   lane_plan_ = make_shard_plan(n, shards);
   lanes_.clear();
-  for (int s = 0; s < shards; ++s)
-    lanes_.emplace_back(routers_, nics_, lane_plan_.begin(s),
-                        lane_plan_.end(s));
+  for (int s = 0; s < shards; ++s) {
+    EventLane& lane = lanes_.emplace_back(
+        routers_, nics_, lane_plan_.begin(s), lane_plan_.end(s));
+    lane.tally().next_id = next_packet_id_ + static_cast<std::uint64_t>(s);
+    lane.tally().id_step = static_cast<std::uint64_t>(shards);
+  }
+}
+
+void Network::fold_tallies() {
+  LaneCounts sum;
+  for (EventLane& lane : lanes_) sum += std::exchange(lane.tally().counts, {});
+  NetworkMetrics& m = ctx_.metrics;
+  m.packets_offered += sum.packets_offered;
+  m.flits_delivered += sum.flits_delivered;
+  m.packets_delivered += sum.requests_delivered + sum.responses_delivered;
+  m.requests_delivered += sum.requests_delivered;
+  m.responses_delivered += sum.responses_delivered;
+  // Modular: a negative delta lowers the count.
+  pending_responses_ += static_cast<std::uint64_t>(sum.pending_responses);
+  next_packet_id_ += sum.packet_ids;
+  kernel_events_ += sum.kernel_events;
+  edge_steps_ += sum.edge_steps;
+
+  // Each log is in its lane's event order; stable merges into the first
+  // lane's keep equal ticks in lane order. Added in the sequential order,
+  // the Welford statistics and the histogram stay bit-identical.
+  auto& log = lanes_.front().tally().ejections;
+  for (std::size_t s = 1; s < lanes_.size(); ++s) {
+    auto& other = lanes_[s].tally().ejections;
+    const auto mid = static_cast<std::ptrdiff_t>(log.size());
+    log.insert(log.end(), other.begin(), other.end());
+    other.clear();
+    std::inplace_merge(
+        log.begin(), log.begin() + mid, log.end(),
+        [](const TailEjection& a, const TailEjection& b) {
+          return a.now < b.now;
+        });
+  }
+  for (const TailEjection& e : log) {
+    const double latency_ns = ns_from_ticks(e.now - e.inject_tick);
+    m.packet_latency_ns.add(latency_ns);
+    ctx_.latency_hist.add(latency_ns);
+    m.network_latency_ns.add(ns_from_ticks(e.now - e.enter_tick));
+    m.packet_hops.add(static_cast<double>(e.hops));
+  }
+  log.clear();
 }
 
 void Network::schedule_edge(RouterId r) {
@@ -123,27 +168,26 @@ bool Network::run_event(Tick t) {
   ++kernel_events_;
 
   // 1. Matured trace entries become pending packets at their source NI.
-  inject_matured(running_trace_->entries(), trace_cursor_);
+  inject_matured();
 
   // 2. Matured responses, in NIC-id order (lanes are contiguous and
   // ascending).
-  std::uint64_t matured = 0;
-  for (EventLane& lane : lanes_) matured += mature_due(lane, t);
-  pending_responses_ -= matured;
-  ctx_.metrics.packets_offered += matured;
+  for (EventLane& lane : lanes_) mature_due(lane, t);
 
-  // 3. Epoch boundary: feature capture and DVFS mode selection.
-  // set_active_mode can pull a slow router's edge *earlier* (new period
-  // from now), so process_epoch republishes affected edges before the
-  // due-edge collection below.
+  // 3. Epoch boundary: feature capture and DVFS mode selection, on exact
+  // counts (the watchdog reads them). set_active_mode can pull a slow
+  // router's edge *earlier* (new period from now), so process_epoch
+  // republishes affected edges before the due-edge collection below.
   const bool at_epoch = t == next_epoch_;
   if (at_epoch) {
+    fold_tallies();
     process_epoch(t);
     next_epoch_ += ctx_.config.epoch_ticks();
   }
 
   // 4. Clock edges due now, in router-id order for determinism.
-  for (EventLane& lane : lanes_) edge_steps_ += step_due(lane, *this, t);
+  for (EventLane& lane : lanes_) step_due(lane, *this, t);
+  fold_tallies();
 
   // Epoch hook, fired only after the boundary iteration completed its
   // clock edges: a checkpoint taken here resumes at the *next* kernel

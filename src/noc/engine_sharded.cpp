@@ -8,14 +8,14 @@
 // mature_due, step_due) over its lane and trace slice up to a
 // conservative horizon. Its router environment (ShardRuntime::Env, a
 // RouterEnv the shard's step_due binds at compile time) applies effects
-// on its own routers through the Network's callbacks and stages every
-// cross-shard effect (flit delivery, credit return, Power Punch secure
-// marks) in per-destination outboxes. At the window barrier receivers
-// apply the staged traffic, a serial section on the coordinator picks the
-// next window, and the round repeats. An epoch boundary, the one point
-// where modes change, is not a round: the serial section merges the
-// shards' state and runs it as one sequential kernel event
-// (Network::run_event over every lane) while the workers are parked.
+// on its own routers through the Network's callbacks, ejection included,
+// and stages every cross-shard effect (flit delivery, credit return,
+// Power Punch secure marks) in per-destination outboxes. At the window
+// barrier receivers apply the staged traffic, a serial section on the
+// coordinator picks the next window, and the round repeats. An epoch
+// boundary, the one point where modes change, is not a round: the serial
+// section runs it as one sequential kernel event (Network::run_event over
+// every lane) while the workers are parked.
 //
 // Why the windows are exact, not approximate: every cross-shard effect
 // carries an arrival tick at least one fastest-mode clock period
@@ -29,13 +29,13 @@
 // one sending shard), as the sequential engine: a delivered flit joins its
 // VC's in-flight tail before any tick at which it could mature.
 //
-// Determinism of the merged statistics: integer counters accumulate in
-// per-shard deltas (addition commutes); the order-sensitive
-// floating-point statistics (Welford RunningStats, the latency
-// histogram) are not touched from worker threads at all — each shard
-// logs its ejections and the serial section replays them in (tick,
-// shard) order, which equals the sequential (tick, router-id) order
-// because shards are contiguous and ascending in router id.
+// Determinism of the run statistics: the phases book into the tally of
+// the lane that owns their router, so a shard thread writes only its own
+// lane's; Network::fold_tallies takes them all on the coordinator while
+// the workers are parked. Integer deltas add in any order; the
+// floating-point statistics are replayed from the ejection logs in (tick,
+// lane) order, the sequential (tick, router-id) order, because shards are
+// contiguous and ascending in router id.
 //
 // Eligibility (resolve_shard_threads, Network::plan_shard_count) excludes
 // everything that would couple shards below the lookahead or perturb
@@ -86,16 +86,7 @@ struct ShardRuntime {
     std::uint16_t vc = 0;
     RouterId target = 0;
     Tick tick = 0;  ///< Arrival tick (deliver/credit) or secure mark time.
-    Flit flit;      ///< Valid for kDeliver only.
-  };
-
-  /// One tail-flit ejection, logged for the serial floating-point
-  /// replay (Network::eject's RunningStat/histogram adds).
-  struct EjectRec {
-    Tick now;
-    Tick inject_tick;
-    Tick enter_tick;
-    std::uint16_t hops;
+    Flit flit{};    ///< Valid for kDeliver only.
   };
 
   struct Shard {
@@ -107,25 +98,8 @@ struct ShardRuntime {
     std::size_t cursor = 0;  ///< Next unconsumed position in entry_idx.
     Tick last_event = 0;     ///< Last locally processed event tick.
     Tick next_min = kInfTick;  ///< Local next-event tick (at round end).
-    /// Per-shard packet-id stream for NIC-generated responses: seeded
-    /// next_packet_id_ + index, stepped by the shard count. Ids are
-    /// report-inert in this mode (single injectable VC), so only
-    /// uniqueness and a mergeable watermark matter.
-    std::uint64_t next_id = 0;
-    std::uint64_t id_step = 1;
-    // Counter deltas since the last serial merge (addition commutes,
-    // so per-shard accumulation + serial merge is exact).
-    std::uint64_t d_offered = 0;
-    std::uint64_t d_flits = 0;
-    std::uint64_t d_delivered = 0;
-    std::uint64_t d_requests = 0;
-    std::uint64_t d_responses = 0;
-    std::uint64_t d_events = 0;
-    std::uint64_t d_steps = 0;
-    std::vector<EjectRec> ejects;  ///< FP replay log since last merge.
     std::vector<std::vector<Op>> out;  ///< Outboxes, one per dest shard.
-    std::size_t replay_pos = 0;  ///< Serial merge scratch.
-    double wait_seconds = 0.0;   ///< Time parked at barriers.
+    double wait_seconds = 0.0;         ///< Time parked at barriers.
     std::exception_ptr error;
   };
 
@@ -145,15 +119,10 @@ struct ShardRuntime {
     }
 
     void secure(RouterId r, Tick now) {
-      if (owns(r)) {
+      if (owns(r))
         rt_->net_.secure(r, now);
-        return;
-      }
-      Op op;
-      op.kind = Op::Kind::kSecure;
-      op.target = r;
-      op.tick = now;
-      stage(r, op);
+      else
+        stage({.kind = Op::Kind::kSecure, .target = r, .tick = now});
     }
 
     void punch_ahead(RouterId r, RouterId dst, Tick now) {
@@ -163,65 +132,36 @@ struct ShardRuntime {
 
     void deliver(RouterId r, int port, int vc, Tick arrival,
                  const Flit& flit) {
-      if (owns(r)) {
+      if (owns(r))
         rt_->net_.deliver(r, port, vc, arrival, flit);
-        return;
-      }
-      Op op;
-      op.kind = Op::Kind::kDeliver;
-      op.port = static_cast<std::uint8_t>(port);
-      op.vc = static_cast<std::uint16_t>(vc);
-      op.target = r;
-      op.tick = arrival;
-      op.flit = flit;
-      stage(r, op);
+      else
+        stage({.kind = Op::Kind::kDeliver,
+               .port = static_cast<std::uint8_t>(port),
+               .vc = static_cast<std::uint16_t>(vc), .target = r,
+               .tick = arrival, .flit = flit});
     }
 
     void send_credit(RouterId upstream, int port, int vc, Tick arrival) {
-      if (owns(upstream)) {
+      if (owns(upstream))
         rt_->net_.send_credit(upstream, port, vc, arrival);
-        return;
-      }
-      Op op;
-      op.kind = Op::Kind::kCredit;
-      op.port = static_cast<std::uint8_t>(port);
-      op.vc = static_cast<std::uint16_t>(vc);
-      op.target = upstream;
-      op.tick = arrival;
-      stage(upstream, op);
+      else
+        stage({.kind = Op::Kind::kCredit,
+               .port = static_cast<std::uint8_t>(port),
+               .vc = static_cast<std::uint16_t>(vc), .target = upstream,
+               .tick = arrival});
     }
 
-    /// Ejection always happens at the stepping router, which this shard
-    /// owns — mirror of Network::eject minus the fault/observer hooks
-    /// (both excluded at engagement), with the floating-point adds
-    /// deferred to the serial replay.
+    /// Ejection is at the stepping router, which this shard owns.
     void eject(RouterId r, const Flit& flit, Tick now) {
-      ++s_->d_flits;
-      if (!flit.is_tail) return;
-      Network& net = rt_->net_;
-      NetworkInterface& sink = net.nics_[static_cast<std::size_t>(r)];
-      sink.on_ejected_packet(flit);
-      ++s_->d_delivered;
-      if (flit.is_response)
-        ++s_->d_responses;
-      else
-        ++s_->d_requests;
-      s_->ejects.push_back({now, flit.inject_tick, flit.enter_tick, flit.hops});
-      if (!flit.is_response && net.ctx_.config.auto_response) {
-        const Tick ready =
-            now + ticks_from_ns(net.ctx_.config.response_delay_ns);
-        sink.schedule_response(s_->next_id, flit.dst_core, flit.src_core,
-                               ready);
-        s_->next_id += s_->id_step;
-        s_->lane->push_response(r, ready);
-      }
+      rt_->net_.eject(r, flit, now);
     }
 
    private:
     bool owns(RouterId r) const { return r >= lo_ && r < hi_; }
-    void stage(RouterId r, const Op& op) {
+    void stage(const Op& op) {
       s_->out[static_cast<std::size_t>(
-                  rt_->net_.lane_plan_.owner[static_cast<std::size_t>(r)])]
+                  rt_->net_.lane_plan_.owner[static_cast<std::size_t>(
+                      op.target)])]
           .push_back(op);
     }
 
@@ -242,12 +182,8 @@ struct ShardRuntime {
     const auto& entries = trace.entries();
     DOZZ_REQUIRE(entries.size() <
                  static_cast<std::size_t>(~std::uint32_t{0}));
-    trace_positional_ids_ = !net.ctx_.config.auto_response;
-    // With auto_response off the trace is the only id consumer, so the
-    // sequential engine's id for entry k is exactly 1 + k; the shards
-    // reproduce it positionally. This invariant holds on resume too
-    // (the checkpointed watermark is 1 + consumed entries).
-    if (trace_positional_ids_)
+    // Trace-positional ids (Network::offer_entry), on resume too.
+    if (!net.ctx_.config.auto_response)
       DOZZ_ASSERT(net.next_packet_id_ == 1 + net.trace_cursor_);
     last_entry_tick_ = entries.empty() ? 0 : entries.back().inject_tick();
 
@@ -259,7 +195,6 @@ struct ShardRuntime {
       sh.lane = &net.lanes_[static_cast<std::size_t>(s)];
       sh.lane->seed();
       sh.out.resize(static_cast<std::size_t>(num_shards));
-      sh.id_step = static_cast<std::uint64_t>(num_shards);
     }
     for (std::uint32_t gi = 0;
          gi < static_cast<std::uint32_t>(entries.size()); ++gi) {
@@ -272,7 +207,7 @@ struct ShardRuntime {
   }
 
   /// Drives the whole parallel phase; on return the Network's canonical
-  /// loop state (clock, cursor, counters, statistics) is merged and the
+  /// loop state (clock, cursor, counters, statistics) is folded and the
   /// caller can continue on the sequential engine.
   void run() {
     decide_next();
@@ -291,7 +226,8 @@ struct ShardRuntime {
     if (serial_error_) std::rethrow_exception(serial_error_);
     for (auto& sh : shards_)
       if (sh.error) std::rethrow_exception(sh.error);
-    merge_state();
+    net_.trace_cursor_ = consumed();
+    net_.fold_tallies();
     Tick last = net_.last_event_;
     for (const auto& sh : shards_) last = std::max(last, sh.last_event);
     net_.last_event_ = last;
@@ -323,7 +259,6 @@ struct ShardRuntime {
   Tick w_begin_ = 0;
   Tick w_end_ = 0;
 
-  bool trace_positional_ids_ = false;
   Tick last_entry_tick_ = 0;
   std::atomic<bool> failed_{false};
   std::exception_ptr serial_error_;
@@ -398,10 +333,10 @@ struct ShardRuntime {
       }
       DOZZ_ASSERT(t >= w_begin_);
       s.last_event = t;
-      ++s.d_events;
+      ++s.lane->tally().counts.kernel_events;
       inject_shard(s, t);
-      s.d_offered += net_.mature_due(*s.lane, t);
-      s.d_steps += net_.step_due(*s.lane, env, t);
+      net_.mature_due(*s.lane, t);
+      net_.step_due(*s.lane, env, t);
     }
   }
 
@@ -434,25 +369,14 @@ struct ShardRuntime {
   // --- Shard-local trace slice ----------------------------------------
 
   /// Phase 1 over this shard's trace slice: the sequential injection
-  /// without its observer and gating hooks (both excluded at engagement),
-  /// with ids from the shard's stream (see trace_positional_ids_ and
-  /// Shard::next_id).
+  /// without its observer and gating hooks (both excluded at engagement).
   void inject_shard(Shard& s, Tick now) {
     const auto& entries = trace_.entries();
     while (s.cursor < s.entry_idx.size()) {
-      const std::uint32_t gi = s.entry_idx[s.cursor];
-      const TraceEntry& e = entries[gi];
-      if (e.inject_tick() > now) break;
+      const std::uint32_t k = s.entry_idx[s.cursor];
+      if (entries[k].inject_tick() > now) break;
       ++s.cursor;
-      std::uint64_t id;
-      if (trace_positional_ids_) {
-        id = 1 + gi;
-      } else {
-        id = s.next_id;
-        s.next_id += s.id_step;
-      }
-      net_.offer_entry(e, id, now);
-      ++s.d_offered;
+      net_.offer_entry(k, now);
     }
   }
 
@@ -468,17 +392,23 @@ struct ShardRuntime {
   /// Re-seeds every shard from the Network's canonical state, after a
   /// resume or an epoch boundary ran events on it: the trace cursor (the
   /// consumed entries are a global prefix and entry_idx is ascending, so a
-  /// shard's consumed part is a lower_bound away), the response-id stream
-  /// and the next local event.
+  /// shard's consumed part is a lower_bound away) and the next local
+  /// event.
   void resync() {
     for (auto& sh : shards_) {
       sh.cursor = static_cast<std::size_t>(
           std::lower_bound(sh.entry_idx.begin(), sh.entry_idx.end(),
                            static_cast<std::uint32_t>(net_.trace_cursor_)) -
           sh.entry_idx.begin());
-      sh.next_id = net_.next_packet_id_ + static_cast<std::uint64_t>(sh.index);
       sh.next_min = next_event(sh);
     }
+  }
+
+  /// Trace entries consumed: a global prefix, the Network's trace cursor.
+  std::size_t consumed() const {
+    std::size_t n = 0;
+    for (const auto& sh : shards_) n += sh.cursor;
+    return n;
   }
 
   // --- Serial sections --------------------------------------------------
@@ -507,28 +437,25 @@ struct ShardRuntime {
   /// drain mode, when the trace is exhausted — the sequential tail then
   /// owns the drain-termination check, so the parallel phase can never
   /// run past the tick where the sequential engine would have stopped).
-  /// An epoch boundary runs right here, on merged state (the feature
-  /// capture and the watchdog read global metrics), as the sequential
-  /// kernel's own event; DESIGN.md §11 says what its hook sees.
+  /// An epoch boundary runs right here as the sequential kernel's own
+  /// event, which folds the lanes' tallies before the feature capture and
+  /// the watchdog read the run counts; DESIGN.md §11 says what its hook
+  /// sees.
   void decide_next() {
     Tick t = 0;
     while (true) {
       t = net_.next_epoch_;
       for (const auto& sh : shards_) t = std::min(t, sh.next_min);
-      if (drain_) {
-        std::size_t consumed = 0;
-        for (const auto& sh : shards_) consumed += sh.cursor;
-        if (consumed >= trace_.entries().size()) {
-          cmd_ = Cmd::kExit;
-          return;
-        }
+      if (drain_ && consumed() >= trace_.entries().size()) {
+        cmd_ = Cmd::kExit;
+        return;
       }
       if (t >= end_tick_) {
         cmd_ = Cmd::kExit;
         return;
       }
       if (t < net_.next_epoch_) break;
-      merge_state();
+      net_.trace_cursor_ = consumed();
       const bool go_on = net_.run_event(t);
       resync();
       if (!go_on) {
@@ -546,62 +473,6 @@ struct ShardRuntime {
     if (drain_) w_end = std::min(w_end, last_entry_tick_ + 1);
     w_end_ = w_end;
     cmd_ = Cmd::kWindow;
-  }
-
-  /// Folds every shard's deltas into the canonical counters and replays
-  /// the logged ejections into the order-sensitive statistics.
-  void merge_state() {
-    NetworkMetrics& m = net_.ctx_.metrics;
-    std::size_t consumed = 0;
-    for (auto& sh : shards_) {
-      m.packets_offered += sh.d_offered;
-      m.flits_delivered += sh.d_flits;
-      m.packets_delivered += sh.d_delivered;
-      m.requests_delivered += sh.d_requests;
-      m.responses_delivered += sh.d_responses;
-      net_.kernel_events_ += sh.d_events;
-      net_.edge_steps_ += sh.d_steps;
-      sh.d_offered = sh.d_flits = sh.d_delivered = 0;
-      sh.d_requests = sh.d_responses = 0;
-      sh.d_events = sh.d_steps = 0;
-      consumed += sh.cursor;
-      if (!trace_positional_ids_)
-        net_.next_packet_id_ = std::max(net_.next_packet_id_, sh.next_id);
-    }
-    net_.trace_cursor_ = consumed;  // consumed set is a global prefix
-    if (trace_positional_ids_) net_.next_packet_id_ = 1 + consumed;
-    std::uint64_t pending = 0;
-    for (const auto& n : net_.nics_) pending += n.pending_response_count();
-    net_.pending_responses_ = pending;
-    replay_ejections();
-  }
-
-  /// Replays ejection logs in (tick, shard) order — equal to the
-  /// sequential (tick, router-id) order because shard id ranges are
-  /// contiguous ascending and each shard's log is already in its local
-  /// processing order. Same values added in the same order means the
-  /// Welford statistics and the histogram end up bit-identical.
-  void replay_ejections() {
-    for (auto& sh : shards_) sh.replay_pos = 0;
-    while (true) {
-      Shard* best = nullptr;
-      for (auto& sh : shards_) {
-        if (sh.replay_pos >= sh.ejects.size()) continue;
-        if (best == nullptr ||
-            sh.ejects[sh.replay_pos].now <
-                best->ejects[best->replay_pos].now)
-          best = &sh;
-      }
-      if (best == nullptr) break;
-      const EjectRec& rec = best->ejects[best->replay_pos++];
-      const double latency_ns = ns_from_ticks(rec.now - rec.inject_tick);
-      net_.ctx_.metrics.packet_latency_ns.add(latency_ns);
-      net_.ctx_.latency_hist.add(latency_ns);
-      net_.ctx_.metrics.network_latency_ns.add(
-          ns_from_ticks(rec.now - rec.enter_tick));
-      net_.ctx_.metrics.packet_hops.add(static_cast<double>(rec.hops));
-    }
-    for (auto& sh : shards_) sh.ejects.clear();
   }
 };
 

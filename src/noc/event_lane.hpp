@@ -1,8 +1,10 @@
-// The event calendars of one contiguous router range (DESIGN.md §6, §11).
+// The event calendars and the run tally of one contiguous router range
+// (DESIGN.md §6, §11).
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <queue>
 #include <utility>
@@ -15,10 +17,68 @@
 
 namespace dozz {
 
-/// A router range [lo, hi) with its clock-edge calendar and its NIC
-/// response heap. The sequential indexed kernel runs one lane over every
-/// router and the sharded engine one per shard; both drive the same
-/// per-event phases over a lane (Network::mature_due, step_due).
+/// Run counters a lane's phases add to between two Network::fold_tallies.
+struct LaneCounts {
+  std::uint64_t packets_offered = 0;
+  std::uint64_t flits_delivered = 0;
+  std::uint64_t requests_delivered = 0;
+  std::uint64_t responses_delivered = 0;
+  /// Responses and retransmissions scheduled minus those matured. Signed:
+  /// a lane can mature what it scheduled before the last fold.
+  std::int64_t pending_responses = 0;
+  /// How far the lane moved the packet-id watermark (LaneTally::draw_id).
+  std::uint64_t packet_ids = 0;
+  std::uint64_t kernel_events = 0;
+  std::uint64_t edge_steps = 0;
+
+  LaneCounts& operator+=(const LaneCounts& o) {
+    packets_offered += o.packets_offered;
+    flits_delivered += o.flits_delivered;
+    requests_delivered += o.requests_delivered;
+    responses_delivered += o.responses_delivered;
+    pending_responses += o.pending_responses;
+    packet_ids += o.packet_ids;
+    kernel_events += o.kernel_events;
+    edge_steps += o.edge_steps;
+    return *this;
+  }
+  bool operator==(const LaneCounts&) const = default;
+};
+
+/// One delivered packet, as the fold replays it into the order-sensitive
+/// statistics (the latency RunningStats and histogram, the hop count).
+struct TailEjection {
+  Tick now;
+  Tick inject_tick;
+  Tick enter_tick;
+  std::uint16_t hops;
+};
+
+/// A lane's counter deltas, tail ejections in event order, and id stream.
+struct LaneTally {
+  LaneCounts counts;
+  std::vector<TailEjection> ejections;
+  /// Lane s of n draws ids from the network's watermark + s in steps of n:
+  /// no two lanes share an id, and the fold's watermark passes every id
+  /// drawn. One lane is the sequential engine's step-1 stream.
+  std::uint64_t next_id = 1;
+  std::uint64_t id_step = 1;
+
+  std::uint64_t draw_id() {
+    const std::uint64_t id = next_id;
+    next_id += id_step;
+    counts.packet_ids += id_step;
+    return id;
+  }
+  /// True when nothing is booked that a fold has not yet taken.
+  bool empty() const { return counts == LaneCounts{} && ejections.empty(); }
+};
+
+/// A router range [lo, hi) with its clock-edge calendar, its NIC response
+/// heap and its run tally. The sequential indexed kernel runs one lane
+/// over every router and the sharded engine one per shard; both drive the
+/// same per-event phases over a lane (Network::mature_due, step_due),
+/// which book into the tally of the lane that owns the router.
 ///
 /// Entries are (tick, id) with lazy invalidation: an entry is live iff its
 /// tick still equals the owner's current next_edge() /
@@ -28,6 +88,7 @@ namespace dozz {
 /// (they cluster on few distinct ticks); the rarer NIC responses use a
 /// plain binary min-heap. The calendars are derived state: they are not
 /// checkpointed, and seed() rebuilds them from the live routers and NICs.
+/// Nor is the tally: checkpoints follow a fold, which empties it.
 class EventLane {
  public:
   EventLane(const std::vector<Router>& routers,
@@ -38,10 +99,14 @@ class EventLane {
     // entries for the same tick are still in the bucket (lazy
     // invalidation), so a bucket can briefly hold two entries per router.
     edges_.warm(2 * static_cast<std::size_t>(hi - lo));
+    tally_.ejections.reserve(static_cast<std::size_t>(hi - lo));
   }
 
   RouterId lo() const { return lo_; }
   RouterId hi() const { return hi_; }
+
+  LaneTally& tally() { return tally_; }
+  const LaneTally& tally() const { return tally_; }
 
   /// (Re)publishes router `r`'s next clock edge.
   void push_edge(RouterId r, Tick edge) { edges_.push(edge, r); }
@@ -163,6 +228,7 @@ class EventLane {
                       std::greater<ScheduledEvent>>
       responses_;
   std::vector<RouterId> due_;  ///< Scratch for the take_due_* lists.
+  LaneTally tally_;
 };
 
 }  // namespace dozz

@@ -234,9 +234,14 @@ class Network {
                         int shards);
   /// One kernel event at tick `t` over every lane: matured trace entries
   /// (phase 1), due responses (phase 2), the epoch boundary if `t` is one
-  /// (process_epoch), due clock edges in router-id order (phase 4), then
-  /// the epoch hook. Returns false when the hook stopped the run.
+  /// (a fold, then process_epoch), due clock edges in router-id order
+  /// (phase 4), a fold, then the epoch hook. Returns false when the hook
+  /// stopped the run.
   bool run_event(Tick t);
+  /// Takes every lane's tally: adds the counter deltas into the run
+  /// counters, then replays the ejection logs in (tick, lane) order, the
+  /// sequential (tick, router-id) order, into the latency and hop stats.
+  void fold_tallies();
   /// Effective shard count for this run: resolve_shard_threads(), which
   /// already rules out what the config alone decides, clamped to the
   /// router count; 1 (sequential fallback) for a gating policy, a policy
@@ -268,23 +273,23 @@ class Network {
   void wake(RouterId r, Tick now);
 
   // --- Per-event phases (phases.cpp; phase 4 inline here) ---
-  // Every kernel runs these; none of them touches a run counter, so the
-  // sharded engine can run them on shard threads and each caller books
-  // what they return into its own counters. Their gating and Power Punch
-  // hooks read gating_, which is false whenever shards engage.
-  /// Phase 1, one trace entry: it becomes packet `id`, pending at its
-  /// source NI since `now`. Returns the source router.
-  RouterId offer_entry(const TraceEntry& e, std::uint64_t id, Tick now);
+  // Every kernel runs these. They (and eject) book run counts only into
+  // the tally of the lane that owns the router, so the sharded engine can
+  // run them on shard threads. Their gating and Power Punch hooks read
+  // gating_, which is false whenever shards engage.
+  /// Phase 1, one trace entry: entry `k` of the running trace becomes a
+  /// packet pending at its source NI since `now`. Returns the source
+  /// router.
+  RouterId offer_entry(std::size_t k, Tick now);
   /// Phase 1 of the sequential kernels: every trace entry matured at the
   /// clock, with observer and Power Punch hooks.
-  void inject_matured(const std::vector<TraceEntry>& entries,
-                      std::size_t& cursor);
+  void inject_matured();
   /// Phase 2, one NIC: moves its responses due at `now` into the injection
-  /// queues. Returns the packets matured.
-  int mature_nic(NetworkInterface& n, Tick now);
+  /// queues.
+  void mature_nic(NetworkInterface& n, Tick now);
   /// Phase 2 over a lane: every NIC response due at `now`, in NIC-id
-  /// order. Returns the packets matured.
-  std::uint64_t mature_due(EventLane& lane, Tick now);
+  /// order.
+  void mature_due(EventLane& lane, Tick now);
   /// Phase 4, one router: account, pre-step, inject, pipeline against
   /// `env`, post-step, gate check, advance clock. Phase 4 is defined here,
   /// in the header, and is a template over the environment, so each
@@ -297,8 +302,10 @@ class Network {
     r.pre_step(now);
     nics_[i].inject_into(r, now);
     r.pipeline_step(now, env);
-    r.post_step(now, nics_[i].has_backlog());
-    if (gating_ && ctx_.policy->may_gate(id) && r.can_gate(now) &&
+    const bool backlog = nics_[i].has_backlog();
+    r.post_step(now, backlog);
+    // A NIC backlog keeps it on: at T-Idle 0 nothing else would wake it.
+    if (gating_ && ctx_.policy->may_gate(id) && !backlog && r.can_gate(now) &&
         (ctx_.injector == nullptr || !ctx_.policy->gating_degraded(id))) {
       r.gate_off(now);
       if (ctx_.observer != nullptr) ctx_.observer->on_gate_off(now, id);
@@ -308,9 +315,9 @@ class Network {
   /// Phase 4 over a lane: every clock edge due at `now`, in router-id
   /// order, republishing each stepped edge. A step never publishes an edge
   /// at `now` (clocks advance by a period, wakeups by a positive penalty),
-  /// so the due list is final once collected. Returns the edges stepped.
+  /// so the due list is final once collected.
   template <RouterEnv Env>
-  std::uint64_t step_due(EventLane& lane, Env& env, Tick now) {
+  void step_due(EventLane& lane, Env& env, Tick now) {
     std::uint64_t steps = 0;
     for (const RouterId id : lane.take_due_edges(now)) {
       const Router& r = routers_[static_cast<std::size_t>(id)];
@@ -319,12 +326,13 @@ class Network {
       ++steps;
       if (r.next_edge() < kInfTick) lane.push_edge(id, r.next_edge());
     }
-    return steps;
+    lane.tally().counts.edge_steps += steps;
   }
 
   // --- Event lanes (event_lane.hpp) ---
   /// Replaces the lanes with `shards` contiguous ones (make_shard_plan);
-  /// 1 = one lane over every router, the sequential kernel's.
+  /// 1 = one lane over every router, the sequential kernel's. The old
+  /// lanes' tallies must be folded.
   void split_lanes(int shards);
   EventLane& lane_of(RouterId r) {
     return lanes_[static_cast<std::size_t>(
@@ -403,8 +411,7 @@ class Network {
   ExtendedFeatureInputs ext_in_scratch_;
 
   /// The sharded engine lives in its own TU and drives the same private
-  /// phases and state (routers, NICs, counters, lanes) as the sequential
-  /// kernel.
+  /// phases and state (routers, NICs, lanes) as the sequential kernel.
   friend struct ShardRuntime;
   /// The linear-scan reference kernel the equivalence tests compare every
   /// engine against (tests/linear_kernel.hpp). It is built into the tests

@@ -207,6 +207,9 @@ void Network::walk_state(Io& io) {
 
 void Network::save_checkpoint(CkptWriter& w) const {
   DOZZ_REQUIRE(running_trace_ != nullptr);  // only meaningful mid-run
+  // Lanes are derived state, never written: a checkpoint is taken right
+  // after a fold, so every count is already in the fields below.
+  for (const EventLane& lane : lanes_) DOZZ_ASSERT(lane.tally().empty());
   // The walk takes the network mutably so one body serves both
   // directions; a CkptWriter only reads the fields it is handed.
   const_cast<Network*>(this)->walk_state(w);
@@ -215,6 +218,7 @@ void Network::save_checkpoint(CkptWriter& w) const {
 void Network::restore_checkpoint(CkptReader& r) {
   DOZZ_REQUIRE(!ran_ && ctx_.now == 0);  // restore only into a fresh network
   walk_state(r);
+  split_lanes(1);  // derived state: the lane draws ids on from the watermark
   resumed_ = true;
 }
 

@@ -2,8 +2,8 @@
 // NIC response maturation (per NIC, and over an event lane for the indexed
 // and sharded engines), and the router-environment callbacks that are not
 // inline in network.hpp (Power Punch wakeups, ejection with the end-to-end
-// CRC check and retransmission scheduling). Router stepping (phase 4)
-// lives in network.hpp so each engine inlines it.
+// CRC check and retransmission scheduling), all booking into the lane
+// tallies. Router stepping (phase 4) lives in network.hpp for inlining.
 #include "src/common/error.hpp"
 #include "src/common/log.hpp"
 #include "src/faults/crc.hpp"
@@ -54,7 +54,8 @@ void Network::secure_path(RouterId src, RouterId dst, Tick now) {
 }
 
 void Network::eject(RouterId r, const Flit& flit, Tick now) {
-  ++ctx_.metrics.flits_delivered;
+  LaneTally& tally = lane_of(r).tally();
+  ++tally.counts.flits_delivered;
   if (ctx_.injector != nullptr) {
     // End-to-end integrity check. A corrupted body flit marks the whole
     // packet instance; the verdict lands on the tail so the packet is
@@ -78,22 +79,18 @@ void Network::eject(RouterId r, const Flit& flit, Tick now) {
   NetworkInterface& sink = nic(r);
   sink.on_ejected_packet(flit);
   if (ctx_.observer != nullptr) ctx_.observer->on_packet_delivered(now, flit);
-  ++ctx_.metrics.packets_delivered;
   if (flit.is_response)
-    ++ctx_.metrics.responses_delivered;
+    ++tally.counts.responses_delivered;
   else
-    ++ctx_.metrics.requests_delivered;
-  const double latency_ns = ns_from_ticks(now - flit.inject_tick);
-  ctx_.metrics.packet_latency_ns.add(latency_ns);
-  ctx_.latency_hist.add(latency_ns);
-  ctx_.metrics.network_latency_ns.add(ns_from_ticks(now - flit.enter_tick));
-  ctx_.metrics.packet_hops.add(static_cast<double>(flit.hops));
+    ++tally.counts.requests_delivered;
+  tally.ejections.push_back(
+      {now, flit.inject_tick, flit.enter_tick, flit.hops});
 
   if (!flit.is_response && ctx_.config.auto_response) {
     const Tick ready = now + ticks_from_ns(ctx_.config.response_delay_ns);
-    sink.schedule_response(next_packet_id_++, flit.dst_core, flit.src_core,
+    sink.schedule_response(tally.draw_id(), flit.dst_core, flit.src_core,
                            ready);
-    ++pending_responses_;
+    ++tally.counts.pending_responses;
     lane_of(r).push_response(r, ready);
   }
 }
@@ -112,8 +109,10 @@ void Network::handle_corrupt_tail(const Flit& tail, Tick now) {
   // timer queue, so every kernel schedules it like any matured response
   // (maturation counts it as offered; this instance stays terminal, which
   // keeps the drain invariant delivered + corrupted == offered exact).
+  const RouterId src = ctx_.topo->router_of_core(tail.src_core);
+  EventLane& lane = lane_of(src);
   PendingPacket p;
-  p.packet_id = next_packet_id_++;
+  p.packet_id = lane.tally().draw_id();
   p.src_core = tail.src_core;
   p.dst_core = tail.dst_core;
   p.is_response = tail.is_response;
@@ -122,20 +121,28 @@ void Network::handle_corrupt_tail(const Flit& tail, Tick now) {
   const Tick ready =
       now + ctx_.injector->retx_backoff_ticks(static_cast<int>(tail.retry));
   p.inject_tick = ready;
-  const RouterId src = ctx_.topo->router_of_core(tail.src_core);
   nic(src).schedule_retransmit(p, ready);
-  ++pending_responses_;
-  lane_of(src).push_response(src, ready);
+  ++lane.tally().counts.pending_responses;
+  lane.push_response(src, ready);
   ++fs.retransmissions;
   DOZZ_LOG_DEBUG("fault: packet " << tail.packet_id
                  << " failed CRC; retransmit attempt "
                  << static_cast<int>(p.retry) << " scheduled");
 }
 
-RouterId Network::offer_entry(const TraceEntry& e, std::uint64_t id,
-                              Tick now) {
+RouterId Network::offer_entry(std::size_t k, Tick now) {
+  const TraceEntry& e = running_trace_->entries()[k];
+  const RouterId home = ctx_.topo->router_of_core(e.src);
+  LaneTally& tally = lane_of(home).tally();
   PendingPacket p;
-  p.packet_id = id;
+  if (!ctx_.config.auto_response && ctx_.injector == nullptr) {
+    // The trace is the only id consumer: entry k is packet 1 + k, as the
+    // sequential stream numbers it, on every engine.
+    p.packet_id = 1 + k;
+    ++tally.counts.packet_ids;
+  } else {
+    p.packet_id = tally.draw_id();
+  }
   p.src_core = e.src;
   p.dst_core = e.dst;
   p.is_response = e.is_response;
@@ -143,18 +150,17 @@ RouterId Network::offer_entry(const TraceEntry& e, std::uint64_t id,
       e.is_response ? ctx_.config.response_size_flits
                     : ctx_.config.request_size_flits);
   p.inject_tick = now;
-  const RouterId home = ctx_.topo->router_of_core(e.src);
   nics_[static_cast<std::size_t>(home)].enqueue(p);
+  ++tally.counts.packets_offered;
   return home;
 }
 
-void Network::inject_matured(const std::vector<TraceEntry>& entries,
-                             std::size_t& cursor) {
-  while (cursor < entries.size() &&
-         entries[cursor].inject_tick() <= ctx_.now) {
-    const TraceEntry& e = entries[cursor++];
-    const RouterId home = offer_entry(e, next_packet_id_++, ctx_.now);
-    ++ctx_.metrics.packets_offered;
+void Network::inject_matured() {
+  const auto& entries = running_trace_->entries();
+  while (trace_cursor_ < entries.size() &&
+         entries[trace_cursor_].inject_tick() <= ctx_.now) {
+    const TraceEntry& e = entries[trace_cursor_];
+    const RouterId home = offer_entry(trace_cursor_++, ctx_.now);
     if (ctx_.observer != nullptr)
       ctx_.observer->on_packet_offered(ctx_.now, e.src, e.dst, e.is_response);
     if (gating_) {
@@ -169,11 +175,14 @@ void Network::inject_matured(const std::vector<TraceEntry>& entries,
   }
 }
 
-int Network::mature_nic(NetworkInterface& n, Tick now) {
+void Network::mature_nic(NetworkInterface& n, Tick now) {
   const bool punch_paths = gating_ && ctx_.config.lookahead_punch;
   if (punch_paths) dsts_scratch_.clear();
   const int matured =
       n.mature_responses(now, punch_paths ? &dsts_scratch_ : nullptr);
+  LaneCounts& counts = lane_of(n.router()).tally().counts;
+  counts.packets_offered += static_cast<std::uint64_t>(matured);
+  counts.pending_responses -= matured;
   if (matured > 0 && gating_) {
     if (punch_paths) {
       const Topology& topo = *ctx_.topo;
@@ -184,19 +193,16 @@ int Network::mature_nic(NetworkInterface& n, Tick now) {
       secure(n.router(), now);
     }
   }
-  return matured;
 }
 
-std::uint64_t Network::mature_due(EventLane& lane, Tick now) {
-  std::uint64_t matured = 0;
+void Network::mature_due(EventLane& lane, Tick now) {
   for (const RouterId id : lane.take_due_responses(now)) {
     NetworkInterface& n = nics_[static_cast<std::size_t>(id)];
     if (n.next_response_tick() > now) continue;  // stale entry
-    matured += static_cast<std::uint64_t>(mature_nic(n, now));
+    mature_nic(n, now);
     if (n.next_response_tick() < kInfTick)
       lane.push_response(id, n.next_response_tick());
   }
-  return matured;
 }
 
 }  // namespace dozz

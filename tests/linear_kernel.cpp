@@ -52,20 +52,17 @@ Tick LinearKernel::loop(Network& net, const Trace& trace, Tick end_tick,
     ++net.kernel_events_;
 
     // 1. Matured trace entries become pending packets at their source NI.
-    net.inject_matured(entries, net.trace_cursor_);
+    net.inject_matured();
 
     // 2. Matured responses.
-    std::uint64_t matured = 0;
-    for (auto& n : net.nics_) {
-      if (n.next_response_tick() > ctx.now) continue;
-      matured += static_cast<std::uint64_t>(net.mature_nic(n, ctx.now));
-    }
-    net.pending_responses_ -= matured;
-    ctx.metrics.packets_offered += matured;
+    for (auto& n : net.nics_)
+      if (n.next_response_tick() <= ctx.now) net.mature_nic(n, ctx.now);
 
-    // 3. Epoch boundary: feature capture and DVFS mode selection.
+    // 3. Epoch boundary: feature capture and DVFS mode selection, on
+    // folded counts as in the product's engines.
     bool at_epoch = false;
     if (ctx.now == net.next_epoch_) {
+      net.fold_tallies();
       net.process_epoch(ctx.now);
       net.next_epoch_ += ctx.config.epoch_ticks();
       at_epoch = true;
@@ -77,6 +74,7 @@ Tick LinearKernel::loop(Network& net, const Trace& trace, Tick end_tick,
       net.step_router(static_cast<RouterId>(i), net, ctx.now);
       ++net.edge_steps_;
     }
+    net.fold_tallies();
 
     // Epoch hook, fired only after the boundary iteration completed its
     // clock edges, as in the product's engines.

@@ -20,8 +20,10 @@ namespace dozz {
 /// every router and NIC for the next event time, then matures every due
 /// NIC and steps every due router in id order. It drives the same
 /// per-event phases as the product's engines but none of their event-lane
-/// scheduling, so a lane defect shows up as a divergence from it. Like
-/// the sharded engine's ShardRuntime, it is a friend of Network.
+/// scheduling, so a lane defect shows up as a divergence from it. The
+/// phases book into the lane tallies, which it folds where run_event
+/// does. Like the sharded engine's ShardRuntime, it is a friend of
+/// Network.
 struct LinearKernel {
   /// Runs `net` like Network::run (drain = false) or
   /// Network::run_until_drained (drain = true), on this kernel.

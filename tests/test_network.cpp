@@ -6,6 +6,8 @@
 #include "src/noc/network.hpp"
 #include "src/power/power_model.hpp"
 #include "src/regulator/simo_ldo.hpp"
+#include "src/sim/registries.hpp"
+#include "src/sim/runner.hpp"
 #include "src/topology/topology.hpp"
 #include "src/trafficgen/patterns.hpp"
 #include "src/trafficgen/trace.hpp"
@@ -164,6 +166,25 @@ TEST(Network, GatedRoutersWakeAndDeliver) {
   const auto m = f.run(policy, trace, 12000);
   EXPECT_EQ(m.packets_delivered, 2u);
   EXPECT_GE(m.wakeups, 2u);
+}
+
+// At T-Idle 0 the idle count never holds a router on, so a router whose
+// only demand is its own NIC's backlog must not gate: the backlog's one
+// secure() at maturation has long expired, and nothing else would wake
+// it. With one-flit buffers the backlog outlives that secure window.
+TEST(Network, PowerGateDrainsAtZeroIdleThreshold) {
+  SimSetup setup;
+  setup.duration_cycles = 3000;
+  setup.run_to_drain = true;
+  setup.noc.t_idle_cycles = 0;
+  setup.noc.buffer_depth_flits = 1;
+  configure_topology(setup.topology, "", &setup.noc);
+  const Trace trace = make_benchmark_trace(setup, "fft", 1.0);
+  PowerGatePolicy policy;
+  const NetworkMetrics m = run_simulation(setup, policy, trace).metrics;
+  EXPECT_GT(m.gatings, 0u);
+  EXPECT_GT(m.packets_offered, 0u);
+  EXPECT_EQ(m.packets_delivered, m.packets_offered);
 }
 
 TEST(Network, StaticEnergyMatchesHandComputationForBaseline) {

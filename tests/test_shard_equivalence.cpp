@@ -6,7 +6,7 @@
 // in fixed-window and run-to-drain modes, on mesh and torus, and across
 // checkpoints taken under one shard count and restored under another. At
 // every epoch boundary of a Baseline run the router and NIC records match
-// the sequential engine's too.
+// the sequential engine's too, and so do the metrics the hook reads.
 // Ineligible configurations (gating policies, armed faults) must fall
 // back to the sequential engine — also bit-identically, and visibly via
 // Network::shards_used() so an equivalence pass can never be a fallback
@@ -290,12 +290,17 @@ TEST(ShardCheckpoint, FixedWindowResumeSeedsSeveralPendingResponses) {
   }
 }
 
-/// Every router's and NIC's checkpoint record at each epoch hook of one
-/// Baseline run under `shard_threads`: records[boundary][2 * id] is router
-/// `id`, records[boundary][2 * id + 1] its NIC.
-std::vector<std::vector<std::vector<unsigned char>>> boundary_records(
-    const SimSetup& base, const Trace& trace, int shard_threads,
-    int* shards_used) {
+/// What the epoch hook sees at one boundary: the run metrics and every
+/// router's and NIC's checkpoint record (records[2 * id] is router `id`,
+/// records[2 * id + 1] its NIC).
+struct Boundary {
+  NetworkMetrics metrics;
+  std::vector<std::vector<unsigned char>> records;
+};
+
+/// Every epoch boundary of one Baseline run under `shard_threads`.
+std::vector<Boundary> boundaries(const SimSetup& base, const Trace& trace,
+                                 int shard_threads, int* shards_used) {
   SimSetup setup = base;
   setup.noc.shard_threads = shard_threads;
   const Topology topo = setup.make_topology();
@@ -303,22 +308,23 @@ std::vector<std::vector<std::vector<unsigned char>>> boundary_records(
   PowerModel power;
   SimoLdoRegulator regulator;
   Network net(topo, setup.noc, *policy, power, regulator);
-  std::vector<std::vector<std::vector<unsigned char>>> records;
+  std::vector<Boundary> seen;
   net.set_epoch_hook([&](Network& n, Tick, std::uint64_t) {
-    auto& at = records.emplace_back();
+    Boundary& at = seen.emplace_back();
+    at.metrics = n.metrics();
     for (RouterId r = 0; r < topo.num_routers(); ++r) {
       CkptWriter rw;
       n.router(r).save_state(rw);
-      at.push_back(rw.bytes());
+      at.records.push_back(rw.bytes());
       CkptWriter nw;
       n.nic(r).walk_state(nw);
-      at.push_back(nw.bytes());
+      at.records.push_back(nw.bytes());
     }
     return true;
   });
   drive(net, setup, trace, /*linear=*/false);
   *shards_used = net.shards_used();
-  return records;
+  return seen;
 }
 
 // An epoch boundary runs on the coordinator as one sequential kernel
@@ -329,30 +335,42 @@ std::vector<std::vector<std::vector<unsigned char>>> boundary_records(
 // would still wait in an outbox while they step. Baseline only: under
 // DVFS a slower receiver can carry such an idle_cycles_ lag from inside a
 // window across a boundary (DESIGN.md §11).
+// The hook also sees the sequential engine's metrics: the lanes' tallies
+// are folded before it runs. mesh_vc1 sends responses, so its pending
+// counts and ids go through the tallies too; its records are not compared,
+// because response ids differ under shards by design.
 TEST(ShardBoundary, RecordsMatchSequentialAtEveryBoundary) {
-  for (bool drain : {false, true}) {
-    SCOPED_TRACE(drain ? "drain" : "fixed window");
-    SimSetup setup = make_setup(Variant::kMeshNoAutoResp, drain);
-    setup.noc.epoch_cycles = 100;
-    const Trace trace = make_benchmark_trace(setup, "fft", kCompressedFactor);
-    int used = 0;
-    const auto seq = boundary_records(setup, trace, 1, &used);
-    ASSERT_GT(seq.size(), 20u);
-    for (int shards : {2, 4, 8}) {
-      SCOPED_TRACE(shards);
-      const auto par = boundary_records(setup, trace, shards, &used);
-      EXPECT_EQ(used, shards);
-      ASSERT_EQ(par.size(), seq.size());
-      std::size_t differing = 0;
-      std::string first;
-      for (std::size_t b = 0; b < seq.size(); ++b)
-        for (std::size_t i = 0; i < seq[b].size(); ++i)
-          if (par[b][i] != seq[b][i] && differing++ == 0)
-            first = "boundary " + std::to_string(b + 1) + ", " +
-                    (i % 2 == 0 ? "router " : "NIC ") + std::to_string(i / 2);
-      EXPECT_EQ(differing, 0u) << "first difference: " << first;
+  for (Variant variant : {Variant::kMeshNoAutoResp, Variant::kMeshSingleVc})
+    for (bool drain : {false, true}) {
+      SCOPED_TRACE(std::string(variant_name(variant)) +
+                   (drain ? ", drain" : ", fixed window"));
+      SimSetup setup = make_setup(variant, drain);
+      setup.noc.epoch_cycles = 100;
+      const Trace trace =
+          make_benchmark_trace(setup, "fft", kCompressedFactor);
+      int used = 0;
+      const auto seq = boundaries(setup, trace, 1, &used);
+      ASSERT_GT(seq.size(), 20u);
+      for (int shards : {2, 4, 8}) {
+        SCOPED_TRACE(shards);
+        const auto par = boundaries(setup, trace, shards, &used);
+        EXPECT_EQ(used, shards);
+        ASSERT_EQ(par.size(), seq.size());
+        std::size_t differing = 0;
+        std::string first;
+        for (std::size_t b = 0; b < seq.size(); ++b) {
+          SCOPED_TRACE("boundary " + std::to_string(b + 1));
+          expect_metrics_identical(seq[b].metrics, par[b].metrics);
+          if (variant != Variant::kMeshNoAutoResp) continue;
+          for (std::size_t i = 0; i < seq[b].records.size(); ++i)
+            if (par[b].records[i] != seq[b].records[i] && differing++ == 0)
+              first = "boundary " + std::to_string(b + 1) + ", " +
+                      (i % 2 == 0 ? "router " : "NIC ") +
+                      std::to_string(i / 2);
+        }
+        EXPECT_EQ(differing, 0u) << "first difference: " << first;
+      }
     }
-  }
 }
 
 // A boundary that throws does so on the coordinator while the workers
@@ -380,10 +398,10 @@ TEST(ShardBoundary, ThrowingBoundaryPropagatesFromRun) {
   EXPECT_EQ(net.shards_used(), 4);
 }
 
-// Thread-sanitizer smoke (the `tsan_shard_smoke` ctest runs exactly this
-// suite under -DDOZZ_SANITIZE=thread): a loaded 16x16 mesh under 8
-// shards, long enough for windows, epochs and cross-shard traffic to
-// interleave on real threads.
+// Thread-sanitizer smoke (the `tsan_shard_smoke` ctest runs this suite
+// and ShardBoundary under -DDOZZ_SANITIZE=thread): a loaded 16x16 mesh
+// under 8 shards, long enough for windows, epochs and cross-shard traffic
+// to interleave on real threads.
 TEST(ShardTsan, Loaded16x16MeshUnderEightShards) {
   SimSetup setup;
   setup.topology = "mesh16";
